@@ -24,12 +24,6 @@ impl Table {
         self
     }
 
-    /// Convenience: appends a row of displayable cells.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) -> &mut Self {
-        let rendered: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&rendered)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()

@@ -21,13 +21,13 @@
 //! corrupted fraction grows, and nothing panics even at fraction 1/2.
 //! ci.sh runs it.
 
-use rechord_bench::scenario_config;
+use rechord_bench::{json_fixed, json_object, results_dir, stable_net, write_json, Harness};
 use rechord_core::adversary::{run_adversarial, AdversaryOutcome};
-use rechord_core::network::ReChordNetwork;
 use rechord_core::{Crime, CrimeSet};
 use rechord_topology::TimedChurnPlan;
-use rechord_workload::{AdversaryConfig, DetectorConfig, SimReport, TrafficSim};
-use std::fmt::Write as _;
+use rechord_workload::{
+    AdversaryConfig, DetectorConfig, SimReport, SloSummary, TrafficSim, WorkloadConfig,
+};
 
 /// Byzantine fractions scanned, smallest to largest. 0 is the control: it
 /// must reproduce the honest runs exactly.
@@ -64,6 +64,7 @@ fn workload_crimes() -> Vec<(&'static str, CrimeSet)> {
 }
 
 struct Knobs {
+    harness: Harness,
     n: usize,
     seeds: Vec<u64>,
     /// Core-scan round budget: honest-stability not reached by then counts
@@ -83,42 +84,28 @@ struct LoadCell {
     crime: &'static str,
     fraction: f64,
     seed: u64,
-    requests: usize,
-    availability: f64,
-    corrupted_rate: f64,
-    lost: usize,
+    summary: SloSummary,
     suspicions: usize,
     stable: bool,
-    p99: u64,
 }
 
-fn run_load_cell(
-    crime: &'static str,
-    crimes: CrimeSet,
-    fraction: f64,
-    seed: u64,
-    k: &Knobs,
-) -> LoadCell {
-    let r = run_load(crimes, fraction, seed, k);
-    let total = r.summary.total.max(1);
-    LoadCell {
-        crime,
-        fraction,
-        seed,
-        requests: r.summary.total,
-        availability: r.summary.availability,
-        corrupted_rate: r.summary.corrupted as f64 / total as f64,
-        lost: r.summary.lost,
-        suspicions: r.suspicions,
-        stable: r.stable_at_end,
-        p99: r.summary.p99,
+impl LoadCell {
+    /// Share of requests answered by a poisoning replica.
+    fn corrupted_rate(&self) -> f64 {
+        self.summary.corrupted as f64 / self.summary.total.max(1) as f64
     }
 }
 
+/// Serves `cfg`'s open-loop traffic on a stable overlay with no organic
+/// churn: whatever goes wrong is the adversary's doing.
+fn serve(cfg: WorkloadConfig, k: &Knobs) -> SimReport {
+    let mut sim = TrafficSim::new(cfg, stable_net(k.n, cfg.seed), &TimedChurnPlan::default());
+    sim.preload();
+    sim.run()
+}
+
 fn run_load(crimes: CrimeSet, fraction: f64, seed: u64, k: &Knobs) -> SimReport {
-    let (net, report) = ReChordNetwork::bootstrap_stable(k.n, seed, 1, 200_000);
-    assert!(report.converged, "seed {seed}: bootstrap must stabilize");
-    let mut cfg = scenario_config(seed, k.horizon, k.interarrival);
+    let mut cfg = k.harness.scenario_config(seed, k.horizon, k.interarrival);
     cfg.adversary = AdversaryConfig {
         fraction,
         crimes,
@@ -130,20 +117,13 @@ fn run_load(crimes: CrimeSet, fraction: f64, seed: u64, k: &Knobs) -> SimReport 
         // Give the stalled-heartbeat attack a detector worth attacking.
         cfg.detector = DetectorConfig { suspect_for: 400, ..Default::default() };
     }
-    let mut sim = TrafficSim::new(cfg, net, &TimedChurnPlan::default());
-    sim.preload();
-    sim.run()
+    serve(cfg, k)
 }
 
 /// The honest-control trace: the full per-request log of a run with the
 /// all-default adversary/detector knobs.
 fn honest_trace(seed: u64, k: &Knobs) -> String {
-    let (net, report) = ReChordNetwork::bootstrap_stable(k.n, seed, 1, 200_000);
-    assert!(report.converged);
-    let cfg = scenario_config(seed, k.horizon, k.interarrival);
-    let mut sim = TrafficSim::new(cfg, net, &TimedChurnPlan::default());
-    sim.preload();
-    sim.run().sink.trace()
+    serve(k.harness.scenario_config(seed, k.horizon, k.interarrival), k).sink.trace()
 }
 
 /// For one crime, the smallest scanned fraction at which any seed trips
@@ -162,61 +142,63 @@ fn boundary(
     })
 }
 
-fn write_json(
+/// Writes the scan record: the grid's configuration and one object per
+/// core and per workload cell.
+fn write_record(
     path: &std::path::Path,
     k: &Knobs,
     core: &[CoreCell],
     load: &[LoadCell],
 ) -> std::io::Result<()> {
-    let mut out = String::from("{\n");
-    let _ = writeln!(
-        out,
-        "  \"config\": {{\"peers\": {}, \"seeds\": {}, \"cutoff\": {}, \"horizon\": {}, \"fractions\": [0.0, 0.125, 0.25, 0.5]}},",
-        k.n,
-        k.seeds.len(),
-        k.cutoff,
-        k.horizon
-    );
-    out.push_str("  \"core\": [\n");
-    for (i, c) in core.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"crime\": \"{}\", \"seed\": {}, \"fraction\": {}, \"byzantine\": {}, \"converged\": {}, \"rounds\": {}, \"honest_ring_ok\": {}}}",
-            c.crime, c.seed, c.out.fraction, c.out.byzantine, c.out.converged, c.out.rounds,
-            c.out.honest_ring_ok
-        );
-        out.push_str(if i + 1 < core.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n  \"workload\": [\n");
-    for (i, c) in load.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"crime\": \"{}\", \"seed\": {}, \"fraction\": {}, \"requests\": {}, \"availability\": {:.6}, \"corrupted_rate\": {:.6}, \"lost\": {}, \"suspicions\": {}, \"stable\": {}, \"p99\": {}}}",
-            c.crime,
-            c.seed,
-            c.fraction,
-            c.requests,
-            c.availability,
-            c.corrupted_rate,
-            c.lost,
-            c.suspicions,
-            c.stable,
-            c.p99
-        );
-        out.push_str(if i + 1 < load.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::create_dir_all(path.parent().expect("results dir has a parent or is one"))?;
-    std::fs::write(path, out)
+    let config = json_object(&[
+        ("peers", k.n.to_string()),
+        ("seeds", k.seeds.len().to_string()),
+        ("cutoff", k.cutoff.to_string()),
+        ("horizon", k.horizon.to_string()),
+        ("fractions", format!("{FRACTIONS:?}")),
+    ]);
+    let core = core
+        .iter()
+        .map(|c| {
+            json_object(&[
+                ("crime", format!("{:?}", c.crime)),
+                ("seed", c.seed.to_string()),
+                ("fraction", c.out.fraction.to_string()),
+                ("byzantine", c.out.byzantine.to_string()),
+                ("converged", c.out.converged.to_string()),
+                ("rounds", c.out.rounds.to_string()),
+                ("honest_ring_ok", c.out.honest_ring_ok.to_string()),
+            ])
+        })
+        .collect();
+    let load = load
+        .iter()
+        .map(|c| {
+            json_object(&[
+                ("crime", format!("{:?}", c.crime)),
+                ("seed", c.seed.to_string()),
+                ("fraction", c.fraction.to_string()),
+                ("requests", c.summary.total.to_string()),
+                ("availability", json_fixed(c.summary.availability)),
+                ("corrupted_rate", json_fixed(c.corrupted_rate())),
+                ("lost", c.summary.lost.to_string()),
+                ("suspicions", c.suspicions.to_string()),
+                ("stable", c.stable.to_string()),
+                ("p99", c.summary.p99.to_string()),
+            ])
+        })
+        .collect();
+    write_json(path, &[("config", config)], &[("core", core), ("workload", load)])
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let k = if smoke {
-        Knobs { n: 16, seeds: vec![1, 2], cutoff: 20_000, horizon: 6_000, interarrival: 10.0 }
+pub fn run(h: &Harness) {
+    let (harness, smoke) = (*h, h.smoke);
+    let (n, seeds, cutoff, horizon, interarrival) = if smoke {
+        (16, vec![1, 2], 20_000, 6_000, 10.0)
     } else {
-        Knobs { n: 48, seeds: vec![1, 2, 3], cutoff: 100_000, horizon: 20_000, interarrival: 5.0 }
+        (48, vec![1, 2, 3], 100_000, 20_000, 5.0)
     };
+    let k = Knobs { harness, n, seeds, cutoff, horizon, interarrival };
     println!(
         "Adversary scan: {} peers, seeds {:?}, fractions {:?}{}\n",
         k.n,
@@ -272,26 +254,34 @@ fn main() {
     for (name, crimes) in workload_crimes() {
         for &fraction in &FRACTIONS {
             for &seed in &k.seeds {
-                let cell = run_load_cell(name, crimes, fraction, seed, &k);
+                let r = run_load(crimes, fraction, seed, &k);
+                let cell = LoadCell {
+                    crime: name,
+                    fraction,
+                    seed,
+                    summary: r.summary,
+                    suspicions: r.suspicions,
+                    stable: r.stable_at_end,
+                };
                 println!(
                     "{:<18} {:>8} {:>6} {:>6} {:>7.4} {:>9.4} {:>6} {:>9} {:>7}",
                     cell.crime,
                     cell.fraction,
                     cell.seed,
-                    cell.requests,
-                    cell.availability,
-                    cell.corrupted_rate,
-                    cell.lost,
+                    cell.summary.total,
+                    cell.summary.availability,
+                    cell.corrupted_rate(),
+                    cell.summary.lost,
                     cell.suspicions,
-                    cell.p99
+                    cell.summary.p99
                 );
                 load.push(cell);
             }
         }
     }
 
-    let path = rechord_bench::results_dir().join("adversary.json");
-    write_json(&path, &k, &core, &load).expect("write adversary.json");
+    let path = results_dir().join("adversary.json");
+    write_record(&path, &k, &core, &load).expect("write adversary.json");
     println!("\nwrote {}", path.display());
 
     // ---- assertions: the headline contract -------------------------------
@@ -329,7 +319,7 @@ fn main() {
                     .iter()
                     .filter(|c| c.crime == name && (c.fraction - f).abs() < 1e-9)
                     .collect();
-                cells.iter().map(|c| c.availability).sum::<f64>() / cells.len() as f64
+                cells.iter().map(|c| c.summary.availability).sum::<f64>() / cells.len() as f64
             })
             .collect();
         for w in mean_avail.windows(2) {
@@ -352,7 +342,7 @@ fn main() {
     let poison_rate = |f: f64| {
         load.iter()
             .filter(|c| c.crime == "poison-reads" && (c.fraction - f).abs() < 1e-9)
-            .map(|c| c.corrupted_rate)
+            .map(|c| c.corrupted_rate())
             .sum::<f64>()
     };
     assert_eq!(poison_rate(0.0), 0.0, "no corruption without attackers");
@@ -361,7 +351,7 @@ fn main() {
     // (4) Nothing panicked at fraction 1/2 (reaching this line is the
     // assertion), and every half-corrupted run still completed its scan.
     assert!(
-        load.iter().filter(|c| (c.fraction - 0.5).abs() < 1e-9).all(|c| c.requests > 0),
+        load.iter().filter(|c| (c.fraction - 0.5).abs() < 1e-9).all(|c| c.summary.total > 0),
         "fraction-1/2 runs must still process traffic"
     );
     println!("fraction-1/2 runs complete without panic");

@@ -1,8 +1,8 @@
 //! Statistical SLO sweep: seeds × churn intensities × repair bandwidths,
 //! as a grid.
 //!
-//! `traffic --smoke` asserts SLO recovery for *pinned* seeds; this binary
-//! makes the claim statistical. It scans a grid of master seeds × churn
+//! `traffic --smoke` asserts SLO recovery for *pinned* seeds; this
+//! experiment makes the claim statistical. It scans a grid of master seeds × churn
 //! intensities (join-heavy storms of increasing size) × anti-entropy
 //! repair bandwidths (keys moved per tick; 0 = infinite, the instantaneous
 //! pre-paced model), runs the full co-simulated workload for every cell,
@@ -24,11 +24,9 @@
 //! statistical harness nor the paced-repair model can silently rot.
 
 use rechord_analysis::Table;
-use rechord_bench::scenario_config;
-use rechord_core::network::ReChordNetwork;
+use rechord_bench::{json_fixed, json_object, results_dir, stable_net, write_json, Harness};
 use rechord_topology::TimedChurnPlan;
-use rechord_workload::TrafficSim;
-use std::fmt::Write as _;
+use rechord_workload::{SloSummary, TrafficSim};
 
 /// Shared between the runs and the JSON config block, so the record always
 /// matches the experiment.
@@ -37,6 +35,7 @@ const SERVICE_TIME: u64 = 2;
 const KEY_UNIVERSE: u64 = 4_096;
 
 struct Knobs {
+    harness: Harness,
     n: usize,
     horizon: u64,
     interarrival: f64,
@@ -51,36 +50,24 @@ struct Cell {
     seed: u64,
     storm_events: usize,
     repair_bandwidth: usize,
-    requests: usize,
-    availability: f64,
+    /// The run's SLO summary, repair cost and timeline included.
+    summary: SloSummary,
     /// Worst windowed availability over the run (the "floor").
     floor: f64,
     /// Availability of the final window (did the SLO recover?).
     tail: f64,
-    p99: u64,
     lost_keys: usize,
     stable: bool,
-    repairs: usize,
-    repair_keys_moved: usize,
-    repair_arcs_touched: usize,
-    /// Largest repair backlog (keys in dirty arcs) the run ever saw.
-    repair_backlog_peak: usize,
-    /// Bounded repair ticks, totalled across passes.
-    repair_ticks: usize,
-    /// Longest time-to-full-replication over completed passes.
-    slowest_repair: u64,
     /// Passes churn preempted mid-drain.
     preempted_repairs: usize,
 }
 
 fn run_cell(seed: u64, storm_events: usize, bandwidth: usize, k: &Knobs) -> Cell {
-    let (net, report) = ReChordNetwork::bootstrap_stable(k.n, seed, 1, 200_000);
-    assert!(report.converged, "seed {seed}: bootstrap must stabilize");
     // The shared deployment baseline, with this experiment's overrides:
     // a bigger uniform key universe (staleness anywhere is sampled), fast
     // rounds so fixpoints land between churn strikes, and the swept
     // repair bandwidth.
-    let mut cfg = scenario_config(seed, k.horizon, k.interarrival);
+    let mut cfg = k.harness.scenario_config(seed, k.horizon, k.interarrival);
     cfg.traffic.key_universe = KEY_UNIVERSE;
     cfg.traffic.zipf_exponent = 0.0;
     cfg.round_every = 10;
@@ -93,7 +80,7 @@ fn run_cell(seed: u64, storm_events: usize, bandwidth: usize, k: &Knobs) -> Cell
     // drain copies it over, so a starved budget stretches the stale window
     // (crashes, by contrast, leave in-window survivors that keep serving).
     let storm = TimedChurnPlan::storm(storm_events, 0.7, k.horizon / 4, 300, seed ^ 0x5eed);
-    let mut sim = TrafficSim::new(cfg, net, &storm);
+    let mut sim = TrafficSim::new(cfg, stable_net(k.n, seed), &storm);
     sim.preload();
     let r = sim.run();
     let windows = r.sink.windows(k.window);
@@ -114,75 +101,56 @@ fn run_cell(seed: u64, storm_events: usize, bandwidth: usize, k: &Knobs) -> Cell
         seed,
         storm_events,
         repair_bandwidth: bandwidth,
-        requests: r.summary.total,
-        availability: r.summary.availability,
+        summary: r.summary,
         floor,
         tail,
-        p99: r.summary.p99,
         lost_keys: r.lost_keys,
         stable: r.stable_at_end,
-        repairs: r.summary.repairs,
-        repair_keys_moved: r.summary.repair_keys_moved,
-        repair_arcs_touched: r.summary.repair_arcs_touched,
-        repair_backlog_peak: r.summary.repair_backlog_peak,
-        repair_ticks: r.summary.repair_ticks,
-        slowest_repair: r.summary.slowest_repair,
         preempted_repairs: r.sink.repairs().iter().filter(|p| p.preempted).count(),
     }
 }
 
-fn json_escape_free_number(x: f64) -> String {
-    // JSON has no NaN/inf; the sweep never produces them, but be safe.
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn write_json(path: &std::path::Path, k: &Knobs, cells: &[Cell]) -> std::io::Result<()> {
-    let mut out = String::from("{\n");
-    let _ = writeln!(
-        out,
-        "  \"config\": {{\"peers\": {}, \"horizon\": {}, \"mean_interarrival\": {}, \"window\": {}, \"replication\": {REPLICATION}, \"service_time\": {SERVICE_TIME}}},",
-        k.n, k.horizon, k.interarrival, k.window
-    );
-    let floor = cells.iter().map(|c| c.floor).fold(1.0f64, f64::min);
-    let worst_p99 = cells.iter().map(|c| c.p99).max().unwrap_or(0);
-    let _ = writeln!(
-        out,
-        "  \"aggregate\": {{\"cells\": {}, \"availability_floor\": {}, \"worst_p99\": {worst_p99}}},",
-        cells.len(),
-        json_escape_free_number(floor)
-    );
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"seed\": {}, \"storm_events\": {}, \"repair_bandwidth\": {}, \"requests\": {}, \"availability\": {}, \"floor\": {}, \"tail\": {}, \"p99\": {}, \"lost_keys\": {}, \"stable\": {}, \"repairs\": {}, \"repair_keys_moved\": {}, \"repair_arcs_touched\": {}, \"repair_backlog_peak\": {}, \"repair_ticks\": {}, \"slowest_repair\": {}, \"preempted_repairs\": {}}}",
-            c.seed,
-            c.storm_events,
-            c.repair_bandwidth,
-            c.requests,
-            json_escape_free_number(c.availability),
-            json_escape_free_number(c.floor),
-            json_escape_free_number(c.tail),
-            c.p99,
-            c.lost_keys,
-            c.stable,
-            c.repairs,
-            c.repair_keys_moved,
-            c.repair_arcs_touched,
-            c.repair_backlog_peak,
-            c.repair_ticks,
-            c.slowest_repair,
-            c.preempted_repairs
-        );
-        out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::create_dir_all(path.parent().expect("results dir has a parent or is one"))?;
-    std::fs::write(path, out)
+/// Writes the grid record: the experiment's configuration, the grid-level
+/// aggregates, and one object per cell with its repair timeline.
+fn write_record(path: &std::path::Path, k: &Knobs, cells: &[Cell]) -> std::io::Result<()> {
+    let config = json_object(&[
+        ("peers", k.n.to_string()),
+        ("horizon", k.horizon.to_string()),
+        ("mean_interarrival", k.interarrival.to_string()),
+        ("window", k.window.to_string()),
+        ("replication", REPLICATION.to_string()),
+        ("service_time", SERVICE_TIME.to_string()),
+    ]);
+    let aggregate = json_object(&[
+        ("cells", cells.len().to_string()),
+        ("availability_floor", json_fixed(cells.iter().map(|c| c.floor).fold(1.0, f64::min))),
+        ("worst_p99", cells.iter().map(|c| c.summary.p99).max().unwrap_or(0).to_string()),
+    ]);
+    let cells = cells
+        .iter()
+        .map(|c| {
+            json_object(&[
+                ("seed", c.seed.to_string()),
+                ("storm_events", c.storm_events.to_string()),
+                ("repair_bandwidth", c.repair_bandwidth.to_string()),
+                ("requests", c.summary.total.to_string()),
+                ("availability", json_fixed(c.summary.availability)),
+                ("floor", json_fixed(c.floor)),
+                ("tail", json_fixed(c.tail)),
+                ("p99", c.summary.p99.to_string()),
+                ("lost_keys", c.lost_keys.to_string()),
+                ("stable", c.stable.to_string()),
+                ("repairs", c.summary.repairs.to_string()),
+                ("repair_keys_moved", c.summary.repair_keys_moved.to_string()),
+                ("repair_arcs_touched", c.summary.repair_arcs_touched.to_string()),
+                ("repair_backlog_peak", c.summary.repair_backlog_peak.to_string()),
+                ("repair_ticks", c.summary.repair_ticks.to_string()),
+                ("slowest_repair", c.summary.slowest_repair.to_string()),
+                ("preempted_repairs", c.preempted_repairs.to_string()),
+            ])
+        })
+        .collect();
+    write_json(path, &[("config", config), ("aggregate", aggregate)], &[("cells", cells)])
 }
 
 fn bw_label(bw: usize) -> String {
@@ -193,10 +161,11 @@ fn bw_label(bw: usize) -> String {
     }
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+pub fn run(h: &Harness) {
+    let (harness, smoke) = (*h, h.smoke);
     let k = if smoke {
         Knobs {
+            harness,
             n: 20,
             horizon: 12_000,
             interarrival: 5.0,
@@ -207,6 +176,7 @@ fn main() {
         }
     } else {
         Knobs {
+            harness,
             n: 48,
             horizon: 40_000,
             interarrival: 5.0,
@@ -244,17 +214,17 @@ fn main() {
             format!("{:#x}", c.seed),
             c.storm_events.to_string(),
             bw_label(c.repair_bandwidth),
-            c.requests.to_string(),
-            format!("{:.4}", c.availability),
+            c.summary.total.to_string(),
+            format!("{:.4}", c.summary.availability),
             format!("{:.4}", c.floor),
             format!("{:.4}", c.tail),
-            c.p99.to_string(),
+            c.summary.p99.to_string(),
             c.lost_keys.to_string(),
             c.stable.to_string(),
-            c.repairs.to_string(),
-            c.repair_keys_moved.to_string(),
-            c.repair_backlog_peak.to_string(),
-            c.slowest_repair.to_string(),
+            c.summary.repairs.to_string(),
+            c.summary.repair_keys_moved.to_string(),
+            c.summary.repair_backlog_peak.to_string(),
+            c.summary.slowest_repair.to_string(),
         ]);
     }
     table.print();
@@ -278,8 +248,8 @@ fn main() {
     }
 
     let name = if smoke { "sweep_smoke.json" } else { "sweep.json" };
-    let path = rechord_bench::results_dir().join(name);
-    write_json(&path, &k, &cells).expect("write sweep json");
+    let path = results_dir().join(name);
+    write_record(&path, &k, &cells).expect("write sweep json");
     println!("wrote {}", path.display());
 
     // The statistical gate: across the whole grid — not one pinned seed —
@@ -293,7 +263,7 @@ fn main() {
             c.storm_events,
             bw_label(c.repair_bandwidth)
         );
-        assert!(c.requests > 300, "seed {:#x}: too few requests to judge", c.seed);
+        assert!(c.summary.total > 300, "seed {:#x}: too few requests to judge", c.seed);
         // Starved repair bandwidth legitimately loses keys (a second crash
         // lands before the first one's re-replication reaches them); those
         // keys read stale forever, so the tail gate discounts them — but
@@ -316,9 +286,9 @@ fn main() {
             c.tail,
             c.lost_keys
         );
-        assert!(c.repairs > 0, "churned cells must run fixpoint repairs");
+        assert!(c.summary.repairs > 0, "churned cells must run fixpoint repairs");
         if c.repair_bandwidth > 0 {
-            assert!(c.repair_backlog_peak > 0, "paced cells must gauge their backlog");
+            assert!(c.summary.repair_backlog_peak > 0, "paced cells must gauge their backlog");
         }
     }
     assert!(

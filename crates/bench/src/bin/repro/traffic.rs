@@ -8,15 +8,17 @@
 //! requests per scenario) and *asserts* the headline behavior: full
 //! availability at steady state, degradation while churning, and recovery
 //! to 100% once the overlay re-stabilizes. ci.sh runs it, so the workload
-//! subsystem cannot silently rot.
+//! subsystem cannot silently rot. `--threads N` runs the data plane on N
+//! workers: the output may not change by one byte.
 
 use rechord_analysis::{AsciiChart, Series, Table};
-use rechord_bench::scenario_config;
+use rechord_bench::{stable_net, write_table, Harness};
 use rechord_core::network::ReChordNetwork;
 use rechord_topology::{TimedChurnPlan, TopologyKind};
 use rechord_workload::{OutcomeKind, SimReport, TrafficSim, WorkloadConfig};
 
 struct Knobs {
+    harness: Harness,
     n: usize,
     horizon: u64,
     interarrival: f64,
@@ -26,7 +28,6 @@ struct Knobs {
 struct ScenarioOut {
     name: &'static str,
     report: SimReport,
-    window: u64,
 }
 
 impl ScenarioOut {
@@ -48,15 +49,9 @@ impl ScenarioOut {
 }
 
 fn base_config(seed: u64, k: &Knobs) -> WorkloadConfig {
-    // The shared deployment baseline lives in rechord_bench::scenario_config;
+    // The shared deployment baseline lives in Harness::scenario_config;
     // these scenarios keep its defaults (instantaneous repair, honest peers).
-    scenario_config(seed, k.horizon, k.interarrival)
-}
-
-fn stable_net(n: usize, seed: u64) -> ReChordNetwork {
-    let (net, report) = ReChordNetwork::bootstrap_stable(n, seed, 1, 200_000);
-    assert!(report.converged, "bootstrap must stabilize");
-    net
+    k.harness.scenario_config(seed, k.horizon, k.interarrival)
 }
 
 /// Sustained load on a stable overlay that nobody touches.
@@ -64,7 +59,7 @@ fn steady_state(k: &Knobs) -> ScenarioOut {
     let mut sim =
         TrafficSim::new(base_config(0xa1, k), stable_net(k.n, 0xa1), &TimedChurnPlan::default());
     sim.preload();
-    ScenarioOut { name: "steady-state", report: sim.run(), window: k.window }
+    ScenarioOut { name: "steady-state", report: sim.run() }
 }
 
 /// A flash crowd concentrates 80% of traffic on one hot key while a join
@@ -78,7 +73,7 @@ fn flash_crowd(k: &Knobs) -> ScenarioOut {
     sim.preload();
     sim.schedule_hot_key(crowd_start, Some((7, 0.8)));
     sim.schedule_hot_key(crowd_end, None);
-    ScenarioOut { name: "flash-crowd", report: sim.run(), window: k.window }
+    ScenarioOut { name: "flash-crowd", report: sim.run() }
 }
 
 /// A churn storm: a quarter of the network crashes in one burst, followed
@@ -100,7 +95,7 @@ fn churn_storm(k: &Knobs) -> ScenarioOut {
         .merged(TimedChurnPlan::join_wave(k.n / 6, start + k.horizon / 3, 200, 0xc3));
     let mut sim = TrafficSim::new(cfg, stable_net(k.n, 0xc3), &storm);
     sim.preload();
-    ScenarioOut { name: "churn-storm", report: sim.run(), window: k.window }
+    ScenarioOut { name: "churn-storm", report: sim.run() }
 }
 
 /// A **million keys** under paced repair: the placement engine's O(moved
@@ -119,7 +114,7 @@ fn million_keys(k: &Knobs) -> ScenarioOut {
     let storm = TimedChurnPlan::storm(4, 0.5, k.horizon / 4, k.horizon / 8, 0xe5);
     let mut sim = TrafficSim::new(cfg, stable_net(k.n, 0xe5), &storm);
     sim.preload();
-    ScenarioOut { name: "million-keys", report: sim.run(), window: k.window }
+    ScenarioOut { name: "million-keys", report: sim.run() }
 }
 
 /// Traffic begins while the overlay is still the adversarial two-rings-and-
@@ -133,15 +128,15 @@ fn partition_heal(k: &Knobs) -> ScenarioOut {
     cfg.round_every = 100; // healing takes real time relative to traffic
     let mut sim = TrafficSim::new(cfg, net, &TimedChurnPlan::default());
     sim.preload();
-    ScenarioOut { name: "partition-heal", report: sim.run(), window: k.window }
+    ScenarioOut { name: "partition-heal", report: sim.run() }
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+pub fn run(h: &Harness) {
+    let (harness, smoke) = (*h, h.smoke);
     let k = if smoke {
-        Knobs { n: 24, horizon: 12_000, interarrival: 10.0, window: 2_000 }
+        Knobs { harness, n: 24, horizon: 12_000, interarrival: 10.0, window: 2_000 }
     } else {
-        Knobs { n: 64, horizon: 60_000, interarrival: 5.0, window: 5_000 }
+        Knobs { harness, n: 64, horizon: 60_000, interarrival: 5.0, window: 5_000 }
     };
     println!(
         "Traffic scenarios: {} peers, horizon {} ticks, ~{} requests each{}\n",
@@ -198,7 +193,7 @@ fn main() {
     for s in &scenarios {
         println!("\n--- {} ---", s.name);
         println!("summary: {}", s.report.summary);
-        let windows = s.report.sink.windows(s.window);
+        let windows = s.report.sink.windows(k.window);
         let xs: Vec<f64> = windows.iter().map(|w| w.start as f64).collect();
         let avail: Vec<f64> = windows.iter().map(|w| w.availability() * 100.0).collect();
         let p99: Vec<f64> = windows.iter().map(|w| w.p99 as f64).collect();
@@ -224,12 +219,7 @@ fn main() {
     println!("\nsteady-state success-latency histogram (20-tick buckets):");
     print!("{}", scenarios[0].report.sink.latency_histogram(20, 30).render(48));
 
-    let path = rechord_bench::results_dir().join("traffic.csv");
-    if let Err(e) = std::fs::create_dir_all(rechord_bench::results_dir()) {
-        eprintln!("cannot create results dir: {e}");
-    }
-    csv.write_csv(&path).expect("write csv");
-    println!("wrote {}", path.display());
+    write_table("traffic", &csv);
 
     // The acceptance gate: these hold deterministically for the pinned
     // seeds, so ci.sh catches any regression in the subsystem.
@@ -287,8 +277,8 @@ fn main() {
 
     let million = &scenarios[4];
     let msum = &million.report.summary;
-    println!("\nmillion-keys repair-backlog peaks per {}-tick window:", million.window);
-    for (start, peak) in million.report.sink.backlog_windows(million.window) {
+    println!("\nmillion-keys repair-backlog peaks per {}-tick window:", k.window);
+    for (start, peak) in million.report.sink.backlog_windows(k.window) {
         println!("  t={start:>6}  backlog {peak}");
     }
     assert!(msum.total > 500, "the million-key run still serves traffic");

@@ -116,11 +116,6 @@ impl<T: Transport> ClusterClient<T> {
         self.window
     }
 
-    /// Requests currently in flight.
-    pub fn in_flight(&self) -> usize {
-        self.inflight.len()
-    }
-
     /// The transport underneath (e.g. to connect to peers before use).
     pub fn transport_mut(&mut self) -> &mut T {
         &mut self.transport

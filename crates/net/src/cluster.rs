@@ -9,7 +9,8 @@
 //! (`tests/transport_parity.rs`). The threaded cluster gives up scheduling
 //! determinism — the BSP barriers restore it for protocol state, and the
 //! closed-loop client restores it for data-plane results, which is exactly
-//! the claim the cluster bench checks across in-mem, TCP, and the oracle.
+//! the claim `tests/process_cluster.rs` checks across in-mem, TCP, and the
+//! oracle.
 
 use crate::inmem::{InMemFabric, InMemTransport};
 use crate::peer::{NodeConfig, NodePeer, NodeReport};

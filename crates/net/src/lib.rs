@@ -21,8 +21,8 @@
 //! * [`peer`] / [`client`] / [`cluster`] — a full Re-Chord node actor,
 //!   the closed-loop RPC client, and in-process cluster drivers.
 //!
-//! The `node` binary hosts one peer over TCP; the bench-side `cluster`
-//! binary spawns N of them on loopback and pins TCP ≡ in-mem ≡ oracle.
+//! The `node` binary hosts one peer over TCP; `tests/process_cluster.rs`
+//! spawns three of them on loopback and pins TCP ≡ in-mem ≡ oracle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -15,7 +15,8 @@
 //!    routing view ([`RoutingTable::local_view`]), forwarded peer to peer
 //!    until the responsible peer replies straight to the client. The hop
 //!    and probe accounting mirrors [`rechord_routing::KvStore`] exactly,
-//!    which the cluster bench pins (`TCP ≡ in-mem ≡ direct-call oracle`).
+//!    which `tests/process_cluster.rs` pins (`TCP ≡ in-mem ≡ direct-call
+//!    oracle`).
 
 use crate::message::{ForwardedRpc, NetMsg, RpcOp};
 use crate::sync::{RoundSync, StepOutcome};

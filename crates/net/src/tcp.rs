@@ -54,6 +54,21 @@ const DIAL_BACKOFF_CAP: Duration = Duration::from_millis(500);
 /// caller corking a large batch cannot grow the buffer without bound.
 const CORK_FLUSH_BYTES: usize = 256 * 1024;
 
+/// Test support: whether this process can open a TCP connection to itself
+/// on `127.0.0.1`. In a network-less sandbox (`unshare -n`) the bind or the
+/// connect fails, and there every TCP test calls this first and returns
+/// early — saying so — instead of panicking in `bind` or `connect`.
+/// `ci.sh` asserts the probe succeeds, so a skip never passes for a run.
+pub fn loopback_or_skip() -> bool {
+    let up = TcpListener::bind("127.0.0.1:0")
+        .and_then(|listener| TcpStream::connect(listener.local_addr()?))
+        .is_ok();
+    if !up {
+        eprintln!("skipped: no loopback interface");
+    }
+    up
+}
+
 /// Shared per-endpoint transport counters.
 #[derive(Default)]
 struct TcpStats {
@@ -405,8 +420,19 @@ mod tests {
         "127.0.0.1:0".parse().expect("loopback addr")
     }
 
+    /// `ci.sh` runs this one (`-- --ignored`) ahead of the test leg: where
+    /// it fails, every test below skipped and the leg proved nothing.
+    #[test]
+    #[ignore = "the loopback assertion of ci.sh; fails by design without a network"]
+    fn loopback_is_up() {
+        assert!(loopback_or_skip(), "no loopback interface: the TCP tests only skip here");
+    }
+
     #[test]
     fn dial_handshake_and_roundtrip() {
+        if !loopback_or_skip() {
+            return;
+        }
         let mut a = TcpTransport::bind(id(1), loopback()).unwrap();
         let mut b = TcpTransport::bind(id(2), loopback()).unwrap();
         a.connect(id(2), &PeerAddr::Socket(b.local_addr())).unwrap();
@@ -423,6 +449,9 @@ mod tests {
 
     #[test]
     fn per_pair_order_is_preserved() {
+        if !loopback_or_skip() {
+            return;
+        }
         let mut a = TcpTransport::bind(id(1), loopback()).unwrap();
         let mut b = TcpTransport::bind(id(2), loopback()).unwrap();
         a.connect(id(2), &PeerAddr::Socket(b.local_addr())).unwrap();
@@ -437,6 +466,9 @@ mod tests {
 
     #[test]
     fn corked_sends_coalesce_and_flush_in_order() {
+        if !loopback_or_skip() {
+            return;
+        }
         let mut a = TcpTransport::bind(id(1), loopback()).unwrap();
         let mut b = TcpTransport::bind(id(2), loopback()).unwrap();
         a.connect(id(2), &PeerAddr::Socket(b.local_addr())).unwrap();
@@ -457,6 +489,9 @@ mod tests {
 
     #[test]
     fn corrupt_frames_are_counted_not_silent() {
+        if !loopback_or_skip() {
+            return;
+        }
         let mut b = TcpTransport::bind(id(2), loopback()).unwrap();
         // Speak raw garbage at b after a valid handshake: the reader must
         // count a wire error when it drops the connection.
@@ -477,12 +512,18 @@ mod tests {
 
     #[test]
     fn send_without_route_is_unreachable() {
+        if !loopback_or_skip() {
+            return;
+        }
         let mut a = TcpTransport::bind(id(1), loopback()).unwrap();
         assert_eq!(a.send(id(9), NetMsg::Ping), Err(NetError::Unreachable(id(9))));
     }
 
     #[test]
     fn big_state_frames_survive_the_socket() {
+        if !loopback_or_skip() {
+            return;
+        }
         use rechord_core::state::PeerState;
         use rechord_graph::NodeRef;
         let mut st = PeerState::new();

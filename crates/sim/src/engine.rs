@@ -78,12 +78,6 @@ impl<P: SyncProtocol> Engine<P> {
         Engine { protocol, ids: Vec::new(), states: Vec::new(), round: 0, threads: threads.max(1) }
     }
 
-    /// Engine with one thread per available CPU core.
-    pub fn new_parallel(protocol: P) -> Self {
-        let n = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        Self::new(protocol, n)
-    }
-
     /// Changes the thread count (results are unaffected; only wall time).
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);

@@ -4,7 +4,7 @@
 //! produces per-RPC `RpcResult`s identical to the direct-call `KvStore`
 //! oracle and to the strictly serial `window=1` run.
 //!
-//! This is the contract that lets the cluster bench report pipelined
+//! This is the contract that lets the benchmark report pipelined
 //! throughput as *the same computation, faster*: the reply-correlation
 //! map restores issue order, and the client's per-key fence keeps
 //! conflicting requests (any pair on one key where either is a put) from
@@ -153,6 +153,9 @@ fn inmem_pipeline_matches_oracle_at_every_window() {
 
 #[test]
 fn tcp_pipeline_matches_oracle_at_every_window() {
+    if !rechord::net::tcp::loopback_or_skip() {
+        return;
+    }
     let cfg = cluster_cfg();
     let requests = workload();
     let want = oracle(&cfg, &requests);

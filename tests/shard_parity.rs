@@ -6,60 +6,80 @@
 //! byte of output: per-request traces, metric summaries, round counts,
 //! event counts, and the final placement digest must be identical at
 //! 1, 2, 4, and 8 workers — on a million-key store, across the sweep's
-//! smoke grid, and with live byzantine peers corrupting the run.
+//! smoke grid, with live byzantine peers corrupting the run, and on a
+//! 2k-peer finger ring serving pure traffic (the data plane alone, at a
+//! real event volume).
 
 use rechord::core::network::ReChordNetwork;
 use rechord::core::{Crime, CrimeSet};
-use rechord::topology::TimedChurnPlan;
+use rechord::topology::{TimedChurnPlan, TopologyKind};
 use rechord::workload::{
     AdversaryConfig, DetectorConfig, TrafficConfig, TrafficSim, WorkloadConfig,
 };
 
-/// The pinned grid: serial baseline, an even split, more workers than the
-/// box has cores (threads are real either way), and a count that exceeds
-/// several arc choices (clamped internally).
-const WORKER_GRID: [usize; 4] = [1, 2, 4, 8];
+/// The pinned `(workers, arcs)` grid, serial baseline first: an even
+/// split, more workers than the box has cores (threads are real either
+/// way), a count that exceeds several arc choices (clamped internally) —
+/// `arcs = 0` is auto, 8 arcs per worker, so each count picks a different
+/// partition — and an explicitly awkward partition: arc count prime and
+/// smaller than the worker count, so ranges are uneven and some workers
+/// idle.
+const WORKER_GRID: [(usize, usize); 5] = [(1, 0), (2, 0), (4, 0), (8, 0), (8, 5)];
 
 /// Everything a run externalizes. The trace is the full per-request log
 /// (one line per outcome: id, key, op, timings, hops, retries, kind), so
 /// equality here is byte-equality of the simulator's entire output.
-type Fingerprint = (String, String, u64, usize, u64, u64);
-
-fn fingerprint(
-    cfg: WorkloadConfig,
-    plan: &TimedChurnPlan,
-    peers: usize,
-    preload: bool,
-) -> Fingerprint {
-    let (net, report) = ReChordNetwork::bootstrap_stable(peers, cfg.seed, 1, 100_000);
-    assert!(report.converged);
-    let mut sim = TrafficSim::new(cfg, net, plan);
-    if preload {
-        sim.preload();
-    }
-    let r = sim.run();
-    (r.sink.trace(), r.summary.to_string(), r.rounds, r.final_peers, r.events, r.placement_digest)
+#[derive(Debug, PartialEq)]
+struct Fingerprint {
+    trace: String,
+    summary: String,
+    rounds: u64,
+    final_peers: usize,
+    events: u64,
+    placement_digest: u64,
+    availability: f64,
 }
 
+fn fingerprint(cfg: WorkloadConfig, plan: &TimedChurnPlan, net: ReChordNetwork) -> Fingerprint {
+    let mut sim = TrafficSim::new(cfg, net, plan);
+    sim.preload();
+    let r = sim.run();
+    Fingerprint {
+        trace: r.sink.trace(),
+        summary: r.summary.to_string(),
+        rounds: r.rounds,
+        final_peers: r.final_peers,
+        events: r.events,
+        placement_digest: r.placement_digest,
+        availability: r.summary.availability,
+    }
+}
+
+/// Runs the scenario at every `(workers, arcs)` of `grid` and asserts each
+/// run's fingerprint equals the first one's, which it returns.
 fn assert_grid_invariant(
     mut cfg: WorkloadConfig,
     plan: &TimedChurnPlan,
-    peers: usize,
-    preload: bool,
-) {
-    cfg.workers = 1;
-    let serial = fingerprint(cfg, plan, peers, preload);
-    assert!(!serial.0.is_empty(), "the scenario produced traffic");
-    for workers in &WORKER_GRID[1..] {
-        cfg.workers = *workers;
-        cfg.arcs = 0; // auto: 8 arcs per worker — each count picks a different partition
-        assert_eq!(serial, fingerprint(cfg, plan, peers, preload), "workers={workers} diverged");
+    net: &dyn Fn() -> ReChordNetwork,
+    grid: &[(usize, usize)],
+) -> Fingerprint {
+    let mut runs = grid.iter().map(|&(workers, arcs)| {
+        (cfg.workers, cfg.arcs) = (workers, arcs);
+        fingerprint(cfg, plan, net())
+    });
+    let serial = runs.next().expect("the grid starts with the serial run");
+    assert!(!serial.trace.is_empty(), "the scenario produced traffic");
+    for (run, (workers, arcs)) in runs.zip(&grid[1..]) {
+        assert_eq!(serial, run, "workers={workers}/arcs={arcs} diverged");
     }
-    // An explicitly awkward partition: arc count prime and smaller than
-    // the worker count, so ranges are uneven and some workers idle.
-    cfg.workers = 8;
-    cfg.arcs = 5;
-    assert_eq!(serial, fingerprint(cfg, plan, peers, preload), "workers=8/arcs=5 diverged");
+    serial
+}
+
+/// The overlay the churn scenarios start from: `peers` peers, stabilized.
+fn stable(peers: usize, seed: u64) -> ReChordNetwork {
+    let (net, report) = ReChordNetwork::bootstrap_stable(peers, seed, 1, 100_000);
+    assert!(report.converged);
+    net
 }
 
 #[test]
@@ -81,7 +101,7 @@ fn million_key_store_is_worker_count_invariant() {
         ..Default::default()
     };
     let plan = TimedChurnPlan::storm(5, 0.5, 800, 300, 0xA1_1C_E5);
-    assert_grid_invariant(cfg, &plan, 20, true);
+    assert_grid_invariant(cfg, &plan, &|| stable(20, cfg.seed), &WORKER_GRID);
 }
 
 #[test]
@@ -104,7 +124,7 @@ fn sweep_smoke_grid_is_worker_count_invariant() {
             ..Default::default()
         };
         let plan = TimedChurnPlan::storm(3, 0.5, 1_000, 400, seed);
-        assert_grid_invariant(cfg, &plan, peers, true);
+        assert_grid_invariant(cfg, &plan, &|| stable(peers, seed), &WORKER_GRID);
     }
 }
 
@@ -132,5 +152,36 @@ fn adversarial_runs_are_worker_count_invariant() {
         ..Default::default()
     };
     let plan = TimedChurnPlan::storm(4, 0.5, 1_500, 400, 0xBAD_F00D);
-    assert_grid_invariant(cfg, &plan, 16, true);
+    assert_grid_invariant(cfg, &plan, &|| stable(16, cfg.seed), &WORKER_GRID);
+}
+
+#[test]
+fn finger_ring_data_plane_is_worker_count_invariant() {
+    // Pure foreground traffic at scale: a 2048-peer finger ring is greedy-
+    // routable in O(log n) hops with no stabilization up front, and no
+    // protocol round lands inside the horizon (one audit round runs after
+    // the traffic drains) — so every event is routing, queueing or
+    // service, the part of the simulator the workers actually shard. The
+    // ring routes every request to its exact responsible peer.
+    const PEERS: usize = 2_048;
+    let cfg = WorkloadConfig {
+        seed: 0x10_000,
+        traffic: TrafficConfig {
+            mean_interarrival: 1.0,
+            key_universe: 200_000,
+            zipf_exponent: 0.0,
+            ..Default::default()
+        },
+        traffic_end: 12_000,
+        round_every: 100_000_000,
+        max_rounds: 1,
+        replication: 2,
+        service_time: 2,
+        ..Default::default()
+    };
+    let ring =
+        || ReChordNetwork::from_topology(&TopologyKind::FingerRing.generate(PEERS, cfg.seed), 1);
+    let serial = assert_grid_invariant(cfg, &TimedChurnPlan::default(), &ring, &[(1, 0), (4, 0)]);
+    assert_eq!(serial.availability, 1.0, "the finger ring must serve every request");
+    assert!(serial.events > 100_000, "a real event volume (got {})", serial.events);
 }
