@@ -59,17 +59,16 @@ run cargo run --release --offline --bin repro -- sweep --smoke
 #     corrupted fraction, and nothing panics at fraction 1/2.
 run cargo run --release --offline --bin repro -- adversary --smoke
 
-# 3e. The sharded data plane: the traffic smoke re-run with 4 worker
-#     threads must pass the identical SLO gates (byte-parity across worker
-#     counts is pinned by tests/shard_parity.rs in step 2; this leg proves
-#     the threaded path drives the full scenario stack end to end).
-run cargo run --release --offline --bin repro -- traffic --smoke --threads 4
-
 # 3f. The benchmark package is outside the workspace, so nothing above
 #     compiles it: its smoke run fails here on any change to a signature,
 #     struct field or trait method it builds against, or to a fingerprint
-#     it recorded (every workload must print "equals the record").
+#     it recorded (every workload must print "equals the record"). The
+#     traced run is the one the driver also scores, and its ledger is the
+#     only code that executes the accepted-and-ignored values the package
+#     pins (`cfg.workers = 2`, `from_raw_states(_, 2)`,
+#     `ServiceQueue::sync_peers`): compiling is not enough.
 run bash benchmark/run.sh all --smoke
+run bash benchmark/run.sh all --smoke --trace
 
 # 3g. Placement-engine scale smoke in release mode: ≥100k keys / 256 peers,
 #     a single join/leave must repair far less than 20% of the keys, and

@@ -21,7 +21,9 @@
 //! corrupted fraction grows, and nothing panics even at fraction 1/2.
 //! ci.sh runs it.
 
-use rechord_bench::{json_fixed, json_object, results_dir, stable_net, write_json, Harness};
+use rechord_bench::{
+    json_fixed, json_object, results_dir, scenario_config, stable_net, write_json, Harness,
+};
 use rechord_core::adversary::{run_adversarial, AdversaryOutcome};
 use rechord_core::{Crime, CrimeSet};
 use rechord_topology::TimedChurnPlan;
@@ -64,7 +66,6 @@ fn workload_crimes() -> Vec<(&'static str, CrimeSet)> {
 }
 
 struct Knobs {
-    harness: Harness,
     n: usize,
     seeds: Vec<u64>,
     /// Core-scan round budget: honest-stability not reached by then counts
@@ -105,7 +106,7 @@ fn serve(cfg: WorkloadConfig, k: &Knobs) -> SimReport {
 }
 
 fn run_load(crimes: CrimeSet, fraction: f64, seed: u64, k: &Knobs) -> SimReport {
-    let mut cfg = k.harness.scenario_config(seed, k.horizon, k.interarrival);
+    let mut cfg = scenario_config(seed, k.horizon, k.interarrival);
     cfg.adversary = AdversaryConfig {
         fraction,
         crimes,
@@ -123,7 +124,7 @@ fn run_load(crimes: CrimeSet, fraction: f64, seed: u64, k: &Knobs) -> SimReport 
 /// The honest-control trace: the full per-request log of a run with the
 /// all-default adversary/detector knobs.
 fn honest_trace(seed: u64, k: &Knobs) -> String {
-    serve(k.harness.scenario_config(seed, k.horizon, k.interarrival), k).sink.trace()
+    serve(scenario_config(seed, k.horizon, k.interarrival), k).sink.trace()
 }
 
 /// For one crime, the smallest scanned fraction at which any seed trips
@@ -192,13 +193,13 @@ fn write_record(
 }
 
 pub fn run(h: &Harness) {
-    let (harness, smoke) = (*h, h.smoke);
+    let smoke = h.smoke;
     let (n, seeds, cutoff, horizon, interarrival) = if smoke {
         (16, vec![1, 2], 20_000, 6_000, 10.0)
     } else {
         (48, vec![1, 2, 3], 100_000, 20_000, 5.0)
     };
-    let k = Knobs { harness, n, seeds, cutoff, horizon, interarrival };
+    let k = Knobs { n, seeds, cutoff, horizon, interarrival };
     println!(
         "Adversary scan: {} peers, seeds {:?}, fractions {:?}{}\n",
         k.n,

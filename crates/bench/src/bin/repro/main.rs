@@ -1,12 +1,12 @@
-//! `repro <experiment>|all [--smoke] [--threads N]` — every figure, theorem
+//! `repro <experiment>|all [--smoke]` — every figure, theorem
 //! and experiment of the paper, one subcommand each. An experiment prints
 //! its table and the lines that compare it with the paper's claim, asserts
 //! what must hold, and writes `results/<experiment>.csv` (or `.json`).
 //!
 //! `RECHORD_TRIALS` scales the figure sweeps down from the paper's 30
 //! graphs per size; `--smoke` selects the small asserted configuration of
-//! the traffic-driving experiments (ci.sh runs those); `--threads N` runs
-//! their data plane on N workers; `RECHORD_RESULTS_DIR` moves the outputs.
+//! the traffic-driving experiments (ci.sh runs those); `RECHORD_RESULTS_DIR`
+//! moves the outputs. Any other flag is a usage error (exit 2).
 
 use rechord_bench::Harness;
 
@@ -36,7 +36,7 @@ const EXPERIMENTS: [Experiment; 13] = [
 
 fn usage(complaint: &str) -> ! {
     eprintln!("repro: {complaint}");
-    eprintln!("usage: repro <experiment>|all [--smoke] [--threads N]\nexperiments:");
+    eprintln!("usage: repro <experiment>|all [--smoke]\nexperiments:");
     for (name, claim, _) in EXPERIMENTS {
         eprintln!("  {name:<17} {claim}");
     }

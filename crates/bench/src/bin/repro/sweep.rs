@@ -24,7 +24,9 @@
 //! statistical harness nor the paced-repair model can silently rot.
 
 use rechord_analysis::Table;
-use rechord_bench::{json_fixed, json_object, results_dir, stable_net, write_json, Harness};
+use rechord_bench::{
+    json_fixed, json_object, results_dir, scenario_config, stable_net, write_json, Harness,
+};
 use rechord_topology::TimedChurnPlan;
 use rechord_workload::{SloSummary, TrafficSim};
 
@@ -35,7 +37,6 @@ const SERVICE_TIME: u64 = 2;
 const KEY_UNIVERSE: u64 = 4_096;
 
 struct Knobs {
-    harness: Harness,
     n: usize,
     horizon: u64,
     interarrival: f64,
@@ -67,7 +68,7 @@ fn run_cell(seed: u64, storm_events: usize, bandwidth: usize, k: &Knobs) -> Cell
     // a bigger uniform key universe (staleness anywhere is sampled), fast
     // rounds so fixpoints land between churn strikes, and the swept
     // repair bandwidth.
-    let mut cfg = k.harness.scenario_config(seed, k.horizon, k.interarrival);
+    let mut cfg = scenario_config(seed, k.horizon, k.interarrival);
     cfg.traffic.key_universe = KEY_UNIVERSE;
     cfg.traffic.zipf_exponent = 0.0;
     cfg.round_every = 10;
@@ -162,10 +163,9 @@ fn bw_label(bw: usize) -> String {
 }
 
 pub fn run(h: &Harness) {
-    let (harness, smoke) = (*h, h.smoke);
+    let smoke = h.smoke;
     let k = if smoke {
         Knobs {
-            harness,
             n: 20,
             horizon: 12_000,
             interarrival: 5.0,
@@ -176,7 +176,6 @@ pub fn run(h: &Harness) {
         }
     } else {
         Knobs {
-            harness,
             n: 48,
             horizon: 40_000,
             interarrival: 5.0,

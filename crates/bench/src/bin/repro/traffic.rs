@@ -8,17 +8,15 @@
 //! requests per scenario) and *asserts* the headline behavior: full
 //! availability at steady state, degradation while churning, and recovery
 //! to 100% once the overlay re-stabilizes. ci.sh runs it, so the workload
-//! subsystem cannot silently rot. `--threads N` runs the data plane on N
-//! workers: the output may not change by one byte.
+//! subsystem cannot silently rot.
 
 use rechord_analysis::{AsciiChart, Series, Table};
-use rechord_bench::{stable_net, write_table, Harness};
+use rechord_bench::{scenario_config, stable_net, write_table, Harness};
 use rechord_core::network::ReChordNetwork;
 use rechord_topology::{TimedChurnPlan, TopologyKind};
 use rechord_workload::{OutcomeKind, SimReport, TrafficSim, WorkloadConfig};
 
 struct Knobs {
-    harness: Harness,
     n: usize,
     horizon: u64,
     interarrival: f64,
@@ -49,9 +47,9 @@ impl ScenarioOut {
 }
 
 fn base_config(seed: u64, k: &Knobs) -> WorkloadConfig {
-    // The shared deployment baseline lives in Harness::scenario_config;
+    // The shared deployment baseline lives in rechord_bench::scenario_config;
     // these scenarios keep its defaults (instantaneous repair, honest peers).
-    k.harness.scenario_config(seed, k.horizon, k.interarrival)
+    scenario_config(seed, k.horizon, k.interarrival)
 }
 
 /// Sustained load on a stable overlay that nobody touches.
@@ -132,11 +130,11 @@ fn partition_heal(k: &Knobs) -> ScenarioOut {
 }
 
 pub fn run(h: &Harness) {
-    let (harness, smoke) = (*h, h.smoke);
+    let smoke = h.smoke;
     let k = if smoke {
-        Knobs { harness, n: 24, horizon: 12_000, interarrival: 10.0, window: 2_000 }
+        Knobs { n: 24, horizon: 12_000, interarrival: 10.0, window: 2_000 }
     } else {
-        Knobs { harness, n: 64, horizon: 60_000, interarrival: 5.0, window: 5_000 }
+        Knobs { n: 64, horizon: 60_000, interarrival: 5.0, window: 5_000 }
     };
     println!(
         "Traffic scenarios: {} peers, horizon {} ticks, ~{} requests each{}\n",

@@ -32,15 +32,11 @@ pub struct Harness {
     /// `--smoke`: the small asserted configuration of the traffic-driving
     /// experiments (the figure sweeps are scaled by `trials` instead).
     pub smoke: bool,
-    /// `--threads N`: data-plane workers of the workload simulator. The
-    /// shard-parity suites prove the count cannot change one byte of
-    /// output, so this is purely a wall-clock knob.
-    pub workers: usize,
 }
 
 impl Harness {
-    /// Reads `[--smoke] [--threads N]` from `flags` and `RECHORD_TRIALS`
-    /// from the environment; the error is the usage complaint to print.
+    /// Reads `[--smoke]` from `flags` and `RECHORD_TRIALS` from the
+    /// environment; the error is the usage complaint to print.
     pub fn from_flags(flags: &[String]) -> Result<Self, String> {
         let trials = match std::env::var("RECHORD_TRIALS") {
             Err(_) => 30,
@@ -51,23 +47,15 @@ impl Harness {
                 .filter(|&t| t > 0)
                 .ok_or(format!("RECHORD_TRIALS must be a positive integer, got `{s}`"))?,
         };
-        let (mut smoke, mut workers) = (false, 1);
-        let mut flags = flags.iter();
-        while let Some(flag) = flags.next() {
+        let mut smoke = false;
+        for flag in flags {
             match flag.as_str() {
                 "--smoke" => smoke = true,
-                "--threads" => {
-                    workers = flags
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n > 0)
-                        .ok_or("--threads needs a positive integer")?
-                }
                 other => return Err(format!("unknown flag `{other}`")),
             }
         }
         let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-        Ok(Harness { trials, threads, smoke, workers })
+        Ok(Harness { trials, threads, smoke })
     }
 
     /// The loop every figure/theorem experiment runs: at each point,
@@ -93,42 +81,38 @@ impl Harness {
             })
             .collect()
     }
+}
 
-    /// The shared deployment baseline of the traffic-driving experiments
-    /// (traffic, sweep, adversary): 250-tick crash detection, 5–15-tick hop
-    /// latency, replication 2, 2-tick per-peer service time, a 128-hop
-    /// budget with 2 retries at 40-tick backoff, and a 50-tick round
-    /// cadence. Experiments override the knobs they vary (key universe,
-    /// round tempo, repair bandwidth) and leave the rest alone. The data
-    /// plane runs on [`Harness::workers`] workers.
-    pub fn scenario_config(&self, seed: u64, horizon: u64, interarrival: f64) -> WorkloadConfig {
-        WorkloadConfig {
-            seed,
-            traffic: TrafficConfig {
-                mean_interarrival: interarrival,
-                key_universe: 256,
-                zipf_exponent: 0.9,
-                put_fraction: 0.1,
-                hot_key: None,
-            },
-            traffic_start: 0,
-            traffic_end: horizon,
-            round_every: 50,
-            latency: LatencyModel::Uniform { lo: 5, hi: 15 },
-            replication: 2,
-            max_retries: 2,
-            retry_backoff: 40,
-            hop_budget: 128,
-            max_rounds: MAX_ROUNDS,
-            detection_lag: 250,
-            service_time: 2,     // finite per-peer capacity: loaded peers queue
-            repair_bandwidth: 0, // instantaneous fixpoint repair unless overridden
-            max_keys_per_peer: 0,
-            adversary: Default::default(),
-            detector: Default::default(),
-            workers: self.workers,
-            arcs: 0, // auto: 8 arcs per worker
-        }
+/// The shared deployment baseline of the traffic-driving experiments
+/// (traffic, sweep, adversary): 250-tick crash detection, 5–15-tick hop
+/// latency, replication 2, 2-tick per-peer service time, a 128-hop
+/// budget with 2 retries at 40-tick backoff, and a 50-tick round
+/// cadence. Experiments override the knobs they vary (key universe,
+/// round tempo, repair bandwidth) and leave the rest alone.
+pub fn scenario_config(seed: u64, horizon: u64, interarrival: f64) -> WorkloadConfig {
+    WorkloadConfig {
+        seed,
+        traffic: TrafficConfig {
+            mean_interarrival: interarrival,
+            key_universe: 256,
+            zipf_exponent: 0.9,
+            put_fraction: 0.1,
+            hot_key: None,
+        },
+        traffic_start: 0,
+        traffic_end: horizon,
+        round_every: 50,
+        latency: LatencyModel::Uniform { lo: 5, hi: 15 },
+        replication: 2,
+        max_retries: 2,
+        retry_backoff: 40,
+        hop_budget: 128,
+        max_rounds: MAX_ROUNDS,
+        detection_lag: 250,
+        service_time: 2,     // finite per-peer capacity: loaded peers queue
+        repair_bandwidth: 0, // instantaneous fixpoint repair unless overridden
+        max_keys_per_peer: 0,
+        ..Default::default() // honest peers, the accurate detector
     }
 }
 

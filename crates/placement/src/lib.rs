@@ -76,10 +76,7 @@
 
 mod map;
 
-pub use map::{
-    arc_of, arc_start, ArcView, Departure, PlacementMap, Probe, Record, RepairStats, RepairStep,
-    ShardKey,
-};
+pub use map::{Departure, PlacementMap, Probe, Record, RepairStats, RepairStep};
 
 #[cfg(test)]
 mod proptests;

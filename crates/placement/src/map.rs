@@ -76,26 +76,8 @@ impl<V> Record<V> {
 /// `(ring position, raw key)` — the identity of a record. The position
 /// comes first so a shard's `BTreeMap` stores records in ring order and an
 /// arc split is a range extraction.
-pub type ShardKey = (Ident, u64);
+type ShardKey = (Ident, u64);
 type Shard<V> = BTreeMap<ShardKey, Record<V>>;
-
-/// The arc index (in `0..arcs`) owning raw ident `raw`: the ring is cut
-/// into `arcs` contiguous equal-width ranges of the u64 ident space, so a
-/// peer's arc — and every key whose primary it is — follows from one
-/// multiply-shift. Any ident, including one minted mid-run (a sybil join),
-/// maps without a lookup table.
-pub fn arc_of(raw: u64, arcs: usize) -> usize {
-    debug_assert!(arcs > 0);
-    ((raw as u128 * arcs as u128) >> 64) as usize
-}
-
-/// The smallest raw ident belonging to arc `a` (so `arc_start(0, n) == 0`
-/// and `arc_of(arc_start(a, n), n) == a`) — the cut points that let sorted
-/// per-peer columns be split into per-arc slices by `partition_point`.
-pub fn arc_start(a: usize, arcs: usize) -> u64 {
-    debug_assert!(a < arcs);
-    (((a as u128) << 64).div_ceil(arcs as u128)) as u64
-}
 
 /// What one bounded [`PlacementMap::repair_step`] call did.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -658,41 +640,6 @@ impl<V> PlacementMap<V> {
         stats
     }
 
-    /// Splits the map into `arcs` disjoint [`ArcView`]s — one per ring arc,
-    /// each owning `&mut` access to exactly the shards whose primary falls
-    /// in that arc (see [`arc_of`]). Workers on different views share
-    /// nothing mutable: cross-arc effects (a replica holder living in a
-    /// foreign arc) are buffered per view and merged through
-    /// [`PlacementMap::apply_held_adds`] once the borrows end. Views see
-    /// the peer snapshot frozen at split time, which is sound because
-    /// membership changes are control-plane events between batches.
-    pub fn arc_views(&mut self, arcs: usize) -> Vec<ArcView<'_, V>> {
-        let Self { peers, replication, shards, .. } = self;
-        let mut views: Vec<ArcView<'_, V>> = (0..arcs)
-            .map(|_| ArcView {
-                peers,
-                replication: *replication,
-                shards: Vec::new(),
-                held_adds: Vec::new(),
-            })
-            .collect();
-        for (&p, shard) in shards.iter_mut() {
-            views[arc_of(p.raw(), arcs)].shards.push((p, shard));
-        }
-        views
-    }
-
-    /// Merges the held-index additions buffered by [`ArcView::put`] calls
-    /// (returned by [`ArcView::into_held_adds`]) back into the copy index.
-    /// Set insertion commutes, so the merge order across views is
-    /// irrelevant — the index lands identical to what the same puts would
-    /// have produced through the unsharded path.
-    pub fn apply_held_adds(&mut self, adds: impl IntoIterator<Item = (Ident, ShardKey)>) {
-        for (peer, sk) in adds {
-            self.held.entry(peer).or_default().insert(sk);
-        }
-    }
-
     /// Stores a batch of *fresh* records in bulk: `entries` yields
     /// `(position, key, version, value)` rows, each placed exactly as
     /// [`PlacementMap::put`] would place it (full current replica set,
@@ -743,33 +690,12 @@ impl<V> PlacementMap<V> {
         stored
     }
 
-    /// [`PlacementMap::repair_delta`] restricted to the dirty arcs whose
-    /// canonical primary satisfies `keep`; the rest stay dirty for a later
-    /// call. Because a drained arc only touches its own shard plus
-    /// holder-index rows at disjoint `ShardKey`s, scoped deltas over any
-    /// partition of the primaries compose — in any order — to exactly the
-    /// unpartitioned [`PlacementMap::repair_delta`] (the satellite
-    /// property-test oracle for sharded repair).
-    pub fn repair_delta_scoped(&mut self, keep: impl Fn(Ident) -> bool) -> RepairStats {
-        let cap = std::mem::take(&mut self.max_keys_per_peer);
-        let canon: BTreeSet<Ident> =
-            self.dirty.iter().filter_map(|&d| self.primary_for(d)).collect();
-        self.dirty = canon.clone();
-        let worklist: Vec<Ident> = canon.into_iter().filter(|&p| keep(p)).collect();
-        let remaining = worklist.iter().map(|p| self.shards.get(p).map_or(0, Shard::len)).sum();
-        self.plan = Some(PlanState { worklist, idx: 0, cursor: None, remaining });
-        let step = self.repair_step(usize::MAX);
-        debug_assert!(step.done, "an unbounded scoped step drains its whole worklist");
-        self.max_keys_per_peer = cap;
-        step.stats
-    }
-
     /// Deterministic digest of the durable placement state — peers,
     /// replication, every record's `(position, key, version, holders)`, the
     /// holder index, and the dirty markers. Stored values are excluded
     /// (they need no `Hash` bound), as is the transient repair cursor,
-    /// matching [`PartialEq`]. Equal maps digest equally; the parity
-    /// suites compare digests across worker counts without cloning maps.
+    /// matching [`PartialEq`]. Equal maps digest equally; the golden
+    /// suites pin digests without cloning maps.
     pub fn digest(&self) -> u64 {
         fn step(h: u64, x: u64) -> u64 {
             (h ^ x).wrapping_mul(0x100_0000_01b3) // FNV-1a, 64-bit prime
@@ -849,114 +775,6 @@ impl<V> PlacementMap<V> {
             }
         }
         Ok(())
-    }
-}
-
-/// One ring arc's disjoint mutable window into a [`PlacementMap`]: the
-/// shards whose primary lives in the arc, plus a read-only view of the
-/// frozen peer snapshot. Produced by [`PlacementMap::arc_views`]; a worker
-/// thread owns one view and can serve puts and lookups for keys whose
-/// primary is in its arc without any synchronization. Holder-index updates
-/// that may target peers in *other* arcs are buffered and merged later via
-/// [`PlacementMap::apply_held_adds`] — nothing reads the index mid-batch.
-pub struct ArcView<'m, V> {
-    peers: &'m [Ident],
-    replication: usize,
-    /// The arc's `(primary, shard)` pairs, ascending by primary.
-    shards: Vec<(Ident, &'m mut Shard<V>)>,
-    /// Buffered `held` insertions — applied by the parent map after merge.
-    held_adds: Vec<(Ident, ShardKey)>,
-}
-
-impl<V> ArcView<'_, V> {
-    /// As [`PlacementMap::primary_for`], over the frozen snapshot.
-    pub fn primary_for(&self, pos: Ident) -> Option<Ident> {
-        self.succ_index(pos).map(|i| self.peers[i])
-    }
-
-    /// As [`PlacementMap::replica_set`], over the frozen snapshot.
-    pub fn replica_set(&self, pos: Ident) -> Vec<Ident> {
-        let Some(start) = self.succ_index(pos) else {
-            return Vec::new();
-        };
-        let n = self.peers.len();
-        (0..self.replication.min(n)).map(|k| self.peers[(start + k) % n]).collect()
-    }
-
-    /// As [`PlacementMap::put`] — identical record/holder mutations — for a
-    /// key whose primary lies in this arc (routing guarantees it; a
-    /// misrouted put is a logic bug and panics). Holder-index rows are
-    /// buffered, not written.
-    pub fn put(&mut self, pos: Ident, key: u64, version: u64, value: V) -> usize {
-        let Some(start) = self.succ_index(pos) else {
-            return 0;
-        };
-        let n = self.peers.len();
-        let r = self.replication.min(n);
-        let primary = self.peers[start];
-        let sk = (pos, key);
-        let si = self
-            .shards
-            .binary_search_by_key(&primary, |(p, _)| *p)
-            .expect("put routed to the arc owning the key's primary");
-        let rec = match self.shards[si].1.entry(sk) {
-            std::collections::btree_map::Entry::Occupied(e) => {
-                let rec = e.into_mut();
-                if version >= rec.version {
-                    rec.version = version;
-                    rec.value = value;
-                }
-                rec
-            }
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(Record { version, value, holders: Vec::new() })
-            }
-        };
-        for k in 0..r {
-            let peer = self.peers[(start + k) % n];
-            if let Err(i) = rec.holders.binary_search(&peer) {
-                rec.holders.insert(i, peer);
-                self.held_adds.push((peer, sk));
-            }
-        }
-        r
-    }
-
-    /// As [`PlacementMap::lookup`], for a key whose primary lies in this
-    /// arc.
-    pub fn lookup(&self, pos: Ident, key: u64) -> Probe<'_, V> {
-        let Some(start) = self.succ_index(pos) else {
-            return Probe { replicas: 0, hit: None };
-        };
-        let n = self.peers.len();
-        let r = self.replication.min(n);
-        let primary = self.peers[start];
-        let rec = self
-            .shards
-            .binary_search_by_key(&primary, |(p, _)| *p)
-            .ok()
-            .and_then(|si| self.shards[si].1.get(&(pos, key)));
-        let hit = rec.and_then(|rec| {
-            (0..r).find(|&k| rec.holds(self.peers[(start + k) % n])).map(|k| (k, rec))
-        });
-        Probe { replicas: r, hit }
-    }
-
-    /// Consumes the view, yielding the buffered holder-index additions for
-    /// [`PlacementMap::apply_held_adds`].
-    pub fn into_held_adds(self) -> Vec<(Ident, ShardKey)> {
-        self.held_adds
-    }
-
-    fn succ_index(&self, pos: Ident) -> Option<usize> {
-        if self.peers.is_empty() {
-            return None;
-        }
-        Some(match self.peers.binary_search(&pos) {
-            Ok(i) => i,
-            Err(i) if i < self.peers.len() => i,
-            Err(_) => 0,
-        })
     }
 }
 
@@ -1284,62 +1102,6 @@ mod tests {
     }
 
     #[test]
-    fn arc_partition_is_contiguous_and_total() {
-        for arcs in [1usize, 2, 3, 7, 64] {
-            assert_eq!(arc_of(0, arcs), 0);
-            assert_eq!(arc_of(u64::MAX, arcs), arcs - 1);
-            for a in 0..arcs {
-                let s = arc_start(a, arcs);
-                assert_eq!(arc_of(s, arcs), a, "arc_start lands in its own arc");
-                if s > 0 {
-                    assert_eq!(arc_of(s - 1, arcs), a - 1, "cut points are exact");
-                }
-            }
-            // Monotone: raising the raw never lowers the arc.
-            let mut last = 0;
-            for r in (0..64).map(|i| u64::MAX / 63 * i) {
-                let a = arc_of(r, arcs);
-                assert!(a >= last);
-                last = a;
-            }
-        }
-    }
-
-    #[test]
-    fn arc_views_put_and_lookup_match_the_unsharded_map() {
-        let space = IdSpace::new(51);
-        let peers = idents(16, 51);
-        let mut sharded: PlacementMap<u64> = PlacementMap::from_peers(&peers, 3);
-        let mut global: PlacementMap<u64> = PlacementMap::from_peers(&peers, 3);
-        let keys: Vec<(Ident, u64)> = (0..400u64).map(|k| (space.key_position(k), k)).collect();
-        for &(pos, k) in &keys {
-            assert_eq!(global.put(pos, k, k, k * 3), 3);
-        }
-        let arcs = 5;
-        {
-            let mut views = sharded.arc_views(arcs);
-            for &(pos, k) in &keys {
-                let primary = global.primary_for(pos).unwrap();
-                let v = &mut views[arc_of(primary.raw(), arcs)];
-                assert_eq!(v.primary_for(pos), Some(primary));
-                assert_eq!(v.replica_set(pos), global.replica_set(pos));
-                assert_eq!(v.put(pos, k, k, k * 3), 3);
-            }
-            // Lookups through the view see the writes immediately.
-            for &(pos, k) in &keys {
-                let primary = global.primary_for(pos).unwrap();
-                let v = &views[arc_of(primary.raw(), arcs)];
-                let (at, rec) = v.lookup(pos, k).hit.expect("stored");
-                assert_eq!((at, rec.value), (0, k * 3));
-            }
-            let adds: Vec<_> = views.drain(..).flat_map(ArcView::into_held_adds).collect();
-            sharded.apply_held_adds(adds);
-        }
-        sharded.check_invariants().unwrap();
-        assert_eq!(sharded, global, "sharded puts == unsharded puts, bit for bit");
-    }
-
-    #[test]
     fn bulk_load_equals_per_key_puts() {
         let space = IdSpace::new(53);
         let peers = idents(12, 53);
@@ -1357,36 +1119,6 @@ mod tests {
         let mut none: PlacementMap<u64> = PlacementMap::new(2);
         assert_eq!(none.bulk_load(vec![(Ident::from_raw(1), 1, 0, 0)]), 0);
         none.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn scoped_deltas_compose_to_the_full_delta() {
-        let (mut pm, space) = filled(20, 600, 3, 57);
-        pm.apply_join(space.ident_of(8_000));
-        pm.apply_leave(pm.peers()[5], Departure::Crash);
-        pm.apply_leave(pm.peers()[11], Departure::Graceful);
-
-        let mut oracle = pm.clone();
-        let full = oracle.repair_delta();
-
-        // Partition the primaries into 4 arcs and repair them one scope at
-        // a time, in a scrambled order.
-        let arcs = 4;
-        let mut merged = RepairStats::default();
-        for a in [2usize, 0, 3, 1] {
-            merged.merge(pm.repair_delta_scoped(|p| arc_of(p.raw(), arcs) == a));
-            pm.check_invariants().unwrap();
-        }
-        assert_eq!(pm, oracle, "scoped composition == unpartitioned delta");
-        assert_eq!(merged, full, "the stats fold to the same totals");
-        assert!(!pm.repair_pending());
-        // A scope selecting nothing is free and leaves the rest dirty.
-        pm.apply_join(space.ident_of(9_001));
-        let none = pm.repair_delta_scoped(|_| false);
-        assert!(none.is_noop());
-        assert!(pm.repair_pending(), "unselected arcs stay dirty");
-        pm.repair_delta();
-        assert!(!pm.repair_pending());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! final snapshot, and every intermediate state must satisfy the structural
 //! invariants.
 
-use crate::{arc_of, Departure, PlacementMap, RepairStats};
+use crate::{Departure, PlacementMap};
 use proptest::prelude::*;
 use rechord_id::IdSpace;
 
@@ -138,37 +138,6 @@ proptest! {
 
         let mut rebuilt = paced.clone();
         prop_assert!(rebuilt.rebuild().is_noop(), "paced result is a rebuild fixpoint");
-    }
-
-    /// The sharded-repair oracle: `repair_delta_scoped` applied one ring
-    /// arc at a time — any arc count (including 1 and counts exceeding the
-    /// population), any drain order — composes to exactly the
-    /// unpartitioned `repair_delta`, placement and stats alike.
-    #[test]
-    fn scoped_arc_deltas_compose_to_the_unpartitioned_delta(
-        seed in 1u64..1_000,
-        initial in 0u64..12,
-        replication in 1usize..5,
-        ops in trace(),
-        arcs in 1usize..40,
-        order_seed in any::<u64>(),
-    ) {
-        let mut sharded = run_trace(seed, initial, replication, &ops);
-        let mut oracle = sharded.clone();
-        let full = oracle.repair_delta();
-
-        // Drain the arcs in a seed-scrambled order: composition must not
-        // care which worker finishes first.
-        let mut order: Vec<usize> = (0..arcs).collect();
-        order.sort_by_key(|&a| (a as u64).wrapping_mul(order_seed | 1).rotate_left(13));
-        let mut merged = RepairStats::default();
-        for a in order {
-            merged.merge(sharded.repair_delta_scoped(|p| arc_of(p.raw(), arcs) == a));
-            sharded.check_invariants().expect("invariants hold mid-composition");
-        }
-        prop_assert_eq!(&sharded, &oracle, "scoped composition diverged from the full delta");
-        prop_assert_eq!(merged, full, "scoped stats fold to different totals");
-        prop_assert!(!sharded.repair_pending(), "a full partition drains every dirty arc");
     }
 
     /// Bulk preload is bit-identical to the same rows written through

@@ -62,25 +62,21 @@ pub struct RoundOutcome {
 ///
 /// Peers are kept sorted by identifier; all iteration and message delivery
 /// orders are deterministic, and rounds are pure functions of the global
-/// state, so runs are reproducible bit-for-bit for any `threads` setting.
+/// state, so runs are reproducible bit-for-bit.
 pub struct Engine<P: SyncProtocol> {
     protocol: P,
     ids: Vec<Ident>,
     states: Vec<P::State>,
     round: u64,
-    threads: usize,
 }
 
 impl<P: SyncProtocol> Engine<P> {
-    /// Creates an empty engine. `threads = 1` evaluates rounds serially;
-    /// larger values shard the per-node step across scoped threads.
-    pub fn new(protocol: P, threads: usize) -> Self {
-        Engine { protocol, ids: Vec::new(), states: Vec::new(), round: 0, threads: threads.max(1) }
-    }
-
-    /// Changes the thread count (results are unaffected; only wall time).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
+    /// Creates an empty engine. The second argument (once a thread count)
+    /// is accepted and ignored: rounds are evaluated serially, and the
+    /// parameter survives only because `benchmark/` passes one through the
+    /// network constructors.
+    pub fn new(protocol: P, _threads: usize) -> Self {
+        Engine { protocol, ids: Vec::new(), states: Vec::new(), round: 0 }
     }
 
     /// The protocol instance.
@@ -162,8 +158,8 @@ impl<P: SyncProtocol> Engine<P> {
         self.round
     }
 
-    /// Executes one synchronous round: snapshot, parallel per-node step,
-    /// deterministic message merge, delivery.
+    /// Executes one synchronous round: snapshot, per-node step, sorted
+    /// message merge, delivery.
     pub fn round(&mut self) -> RoundOutcome {
         self.round_with_schedule(|_| true)
     }
@@ -215,8 +211,7 @@ impl<P: SyncProtocol> Engine<P> {
         let mut msgs = self.step_all(&prev, active);
 
         // Canonical delivery order: by (target, message). Ties carry equal
-        // messages, so unstable sorting cannot perturb outcomes; this makes
-        // delivery independent of which thread produced a message.
+        // messages, so unstable sorting cannot perturb outcomes.
         msgs.sort_unstable();
 
         let mut delivered = 0usize;
@@ -287,49 +282,21 @@ impl<P: SyncProtocol> Engine<P> {
         last
     }
 
-    /// Evaluates the scheduled nodes' steps against `prev`, serially or
-    /// sharded.
+    /// Evaluates the scheduled nodes' steps against `prev`, in identifier
+    /// order.
     fn step_all(
         &mut self,
         prev: &[P::State],
-        active: &(impl Fn(Ident) -> bool + ?Sized),
+        active: &impl Fn(Ident) -> bool,
     ) -> Vec<(Ident, P::Msg)> {
         let view = RoundView { ids: &self.ids, states: prev };
-        let n = self.ids.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let threads = self.threads.min(n);
-        if threads <= 1 {
-            let mut out = Outbox::new();
-            for (id, st) in self.ids.iter().zip(self.states.iter_mut()) {
-                if active(*id) {
-                    self.protocol.step(*id, st, &view, &mut out);
-                }
+        let mut out = Outbox::new();
+        for (id, st) in self.ids.iter().zip(self.states.iter_mut()) {
+            if active(*id) {
+                self.protocol.step(*id, st, &view, &mut out);
             }
-            return out.into_inner();
         }
-
-        let chunk = n.div_ceil(threads);
-        let protocol = &self.protocol;
-        let ids = &self.ids;
-        let active_flags: Vec<bool> = ids.iter().map(|&id| active(id)).collect();
-        let contexts: Vec<_> = ids
-            .chunks(chunk)
-            .zip(self.states.chunks_mut(chunk))
-            .zip(active_flags.chunks(chunk))
-            .collect();
-        let buffers = crate::pool::run_workers(contexts, |_, ((id_chunk, st_chunk), fl_chunk)| {
-            let view = RoundView { ids, states: prev };
-            let mut out = Outbox::new();
-            for ((id, st), &fire) in id_chunk.iter().zip(st_chunk.iter_mut()).zip(fl_chunk) {
-                if fire {
-                    protocol.step(*id, st, &view, &mut out);
-                }
-            }
-            out.into_inner()
-        });
-        buffers.into_iter().flatten().collect()
+        out.into_inner()
     }
 }
 
@@ -376,8 +343,8 @@ mod tests {
         }
     }
 
-    fn engine_with(n: u64, threads: usize) -> Engine<MinGossip> {
-        let mut e = Engine::new(MinGossip, threads);
+    fn engine_with(n: u64) -> Engine<MinGossip> {
+        let mut e = Engine::new(MinGossip, 1);
         for i in 0..n {
             e.insert_node(Ident::from_raw(i * 1000 + 17), vec![i + 100]);
         }
@@ -386,7 +353,7 @@ mod tests {
 
     #[test]
     fn gossip_reaches_fixpoint() {
-        let mut e = engine_with(16, 1);
+        let mut e = engine_with(16);
         let report = e.run_until_fixpoint(1000);
         assert!(report.converged, "gossip must stabilize");
         // Everyone ends up knowing the global minimum, 100.
@@ -396,21 +363,8 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_across_thread_counts() {
-        let mut serial = engine_with(37, 1);
-        let mut parallel = engine_with(37, 8);
-        for _ in 0..25 {
-            serial.round();
-            parallel.round();
-            let a: Vec<_> = serial.iter().map(|(i, s)| (i, s.clone())).collect();
-            let b: Vec<_> = parallel.iter().map(|(i, s)| (i, s.clone())).collect();
-            assert_eq!(a, b, "thread count must not affect results");
-        }
-    }
-
-    #[test]
     fn insert_and_remove_nodes() {
-        let mut e = engine_with(3, 1);
+        let mut e = engine_with(3);
         let id = Ident::from_raw(999_999);
         assert!(e.insert_node(id, vec![1]));
         assert!(!e.insert_node(id, vec![2]), "duplicate rejected");
@@ -430,23 +384,58 @@ mod tests {
         assert_eq!(ids, vec![10, 30, 50, 90]);
     }
 
+    /// Every node sends one token per round to the ident its state names
+    /// and counts the tokens it receives, up to three.
+    struct Courier;
+
+    impl SyncProtocol for Courier {
+        type State = (Ident, u8);
+        type Msg = ();
+
+        fn step(
+            &self,
+            _me: Ident,
+            state: &mut (Ident, u8),
+            _view: &RoundView<'_, (Ident, u8)>,
+            out: &mut Outbox<()>,
+        ) {
+            out.send(state.0, ());
+        }
+
+        fn deliver(&self, _me: Ident, state: &mut (Ident, u8), _msg: &()) {
+            state.1 = (state.1 + 1).min(3);
+        }
+    }
+
     #[test]
     fn messages_to_missing_peers_are_dropped() {
-        let mut e = engine_with(2, 1);
-        // Remove the successor of the first node mid-run; its gossip drops.
-        let victim = *e.ids().last().unwrap();
-        e.remove_node(victim);
+        let [a, b, c] = [10, 20, 30].map(Ident::from_raw);
+        let mut e = Engine::new(Courier, 1);
+        for (id, target) in [(a, b), (b, c), (c, a)] {
+            e.insert_node(id, (target, 0));
+        }
         let out = e.round();
-        assert_eq!(out.dropped, 0); // removal happened before the round: no stale target
-                                    // Now orchestrate a genuine drop: a one-node engine gossips to itself only.
-        let mut single = engine_with(1, 1);
-        let out = single.round();
-        assert_eq!(out.delivered + out.dropped, 0, "no self-send");
+        assert_eq!((out.delivered, out.dropped), (3, 0), "everyone is present");
+
+        // c leaves between rounds; b still names it.
+        e.remove_node(c);
+        let out = e.round();
+        assert_eq!(out.dropped, 1, "b's token has no receiver");
+        assert_eq!(out.delivered, 1, "a's token still reaches b");
+        assert_eq!(e.state(b), Some(&(c, 2)));
+        assert_eq!(e.state(a), Some(&(b, 1)), "nobody sends to a any more");
+
+        // The fixpoint report's message total counts both kinds: one more
+        // round saturates b's counter, the next one changes nothing.
+        let report = e.run_until_fixpoint(10);
+        assert!(report.converged);
+        assert_eq!(report.rounds, 2);
+        assert_eq!(report.total_messages, 2 * (1 + 1), "delivered and dropped both count");
     }
 
     #[test]
     fn traced_run_records_rounds() {
-        let mut e = engine_with(8, 2);
+        let mut e = engine_with(8);
         let (report, trace) = e.run_traced(1000, |_| true);
         assert!(report.converged);
         assert_eq!(trace.rounds.len() as u64, report.rounds);
@@ -456,7 +445,7 @@ mod tests {
 
     #[test]
     fn empty_engine_is_a_fixpoint() {
-        let mut e: Engine<MinGossip> = Engine::new(MinGossip, 4);
+        let mut e: Engine<MinGossip> = Engine::new(MinGossip, 1);
         let report = e.run_until_fixpoint(10);
         assert!(report.converged);
         assert_eq!(report.rounds, 1);
@@ -464,8 +453,8 @@ mod tests {
 
     #[test]
     fn dirty_set_matches_state_diffs() {
-        let mut tracked = engine_with(17, 2);
-        let mut control = engine_with(17, 1);
+        let mut tracked = engine_with(17);
+        let mut control = engine_with(17);
         loop {
             let before: Vec<_> = control.iter().map(|(i, s)| (i, s.clone())).collect();
             let (out, dirty) = tracked.round_dirty_with_schedule(|_| true);
@@ -491,7 +480,7 @@ mod tests {
 
     #[test]
     fn partial_schedule_fires_only_selected_nodes() {
-        let mut e = engine_with(6, 1);
+        let mut e = engine_with(6);
         let ids = e.ids().to_vec();
         let only = ids[2];
         let out = e.round_with_schedule(|id| id == only);
@@ -507,22 +496,8 @@ mod tests {
     }
 
     #[test]
-    fn partial_schedule_parallel_matches_serial() {
-        let mut a = engine_with(23, 1);
-        let mut b = engine_with(23, 8);
-        let pick = |id: Ident| !id.raw().is_multiple_of(3);
-        for _ in 0..15 {
-            a.round_with_schedule(pick);
-            b.round_with_schedule(pick);
-            let sa: Vec<_> = a.iter().map(|(i, s)| (i, s.clone())).collect();
-            let sb: Vec<_> = b.iter().map(|(i, s)| (i, s.clone())).collect();
-            assert_eq!(sa, sb);
-        }
-    }
-
-    #[test]
     fn fair_alternating_schedule_still_converges() {
-        let mut e = engine_with(12, 2);
+        let mut e = engine_with(12);
         // odd/even alternation is fair: everyone fires every other round
         let ids = e.ids().to_vec();
         let mut stable_streak = 0;

@@ -10,12 +10,11 @@
 //! boundary well defined and the whole computation a deterministic function
 //! `s_{i+1} = F(s_i)`.
 //!
-//! That structure is embarrassingly parallel inside a round: the engine
-//! snapshots all node states, evaluates every node's step against the
-//! snapshot on a scoped thread pool (each node mutates only its own state),
-//! then merges the emitted messages **deterministically** (stable sort by
-//! target and message order) and applies them. Results are bit-identical for
-//! any thread count — asserted by property tests.
+//! One round, then: the engine snapshots all node states, evaluates every
+//! node's step against the snapshot in identifier order (each node mutates
+//! only its own state), sorts the emitted messages by target and message
+//! order, and applies them. The engine is single-threaded; independent runs
+//! parallelise across seeds instead (`rechord_analysis::parallel_trials`).
 //!
 //! A *legal / stable* state (the paper's self-stabilization target) is a
 //! fixpoint of `F`; [`Engine::run_until_fixpoint`] detects it by comparing
@@ -26,7 +25,6 @@
 
 mod engine;
 mod outbox;
-pub mod pool;
 mod report;
 
 pub use engine::{Engine, RoundOutcome, RoundView};
@@ -45,12 +43,12 @@ use rechord_id::Ident;
 /// assignments).
 ///
 /// `deliver` applies one received message at the round boundary.
-pub trait SyncProtocol: Sync {
+pub trait SyncProtocol {
     /// Per-node state. `Clone` is used for the round snapshot; `PartialEq`
     /// detects the fixpoint.
-    type State: Clone + PartialEq + Send + Sync;
+    type State: Clone + PartialEq;
     /// A delayed assignment. `Ord` fixes the deterministic delivery order.
-    type Msg: Clone + Ord + Send;
+    type Msg: Clone + Ord;
 
     /// One round of local computation for the node at `me`.
     fn step(

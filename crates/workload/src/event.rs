@@ -78,8 +78,8 @@ impl<E> EventQueue<E> {
     }
 
     /// The instant of the earliest pending event without popping it —
-    /// `None` when the queue is empty. The sharded data plane uses this to
-    /// bound a batch: data events run up to (not including) the next
+    /// `None` when the queue is empty. The simulator uses this to bound a
+    /// data-plane batch: request events run up to (not including) the next
     /// control-event instant.
     pub fn next_time(&self) -> Option<u64> {
         self.heap.peek().map(|s| s.time)

@@ -53,11 +53,10 @@ impl LatencyModel {
     }
 
     /// Draws one hop latency as a *pure function* of the given key words
-    /// (hashed through the splitmix finalizer), so concurrent workers can
-    /// sample without sharing an rng stream. Two draws agree iff their key
-    /// words agree — the sharded data plane keys every draw by
-    /// `(seed, tag, request id, attempt)` so the trace is independent of
-    /// worker count and processing order.
+    /// (hashed through the splitmix finalizer), not of a position in an rng
+    /// stream. Two draws agree iff their key words agree — the data plane
+    /// keys every draw by `(seed, tag, request id, attempt)` so the trace
+    /// is independent of the order requests are processed in.
     pub fn sample_keyed(&self, words: &[u64]) -> u64 {
         let h = mix(words);
         match *self {
@@ -76,19 +75,6 @@ impl LatencyModel {
                 let draw = -mean.max(f64::MIN_POSITIVE) * (1.0 - u).ln();
                 (draw.round() as u64).max(1)
             }
-        }
-    }
-
-    /// The smallest latency this model can ever produce — the safe
-    /// *lookahead* of the sharded data plane: two events at instants less
-    /// than `min_delay()` apart can only be causally related if they belong
-    /// to the same request, so a window of this width can be processed in
-    /// parallel across arcs.
-    pub fn min_delay(&self) -> u64 {
-        match *self {
-            LatencyModel::Fixed(t) => t.max(1),
-            LatencyModel::Uniform { lo, .. } => lo.max(1),
-            LatencyModel::Exponential { .. } => 1,
         }
     }
 
@@ -111,12 +97,8 @@ impl LatencyModel {
 /// bookkeeping): the pre-capacity behavior of the simulator.
 ///
 /// Layout is structure-of-arrays: a sorted column of peer idents parallel
-/// to a column of free-at instants. Iteration order is therefore the ident
-/// order by construction (the pre-SoA `BTreeMap` was also sorted — the
-/// audit for hash-order drain dependence found none — but the flat columns
-/// make the invariant structural *and* let the sharded data plane hand
-/// each worker a disjoint `&mut` slice of its arcs' backlog entries via
-/// [`ServiceQueue::split`], no locks).
+/// to a column of free-at instants, so iteration order is the ident order
+/// by construction.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServiceQueue {
     service_time: u64,
@@ -176,11 +158,11 @@ impl ServiceQueue {
     }
 
     /// Ensures every peer in `live` (any order) has an entry, inserting
-    /// idle (`free_at = 0`) rows for the missing ones. The sharded data
-    /// plane calls this before splitting so that parallel workers — which
-    /// cannot insert into a shared column — find every admissible peer
-    /// already present. Inserting at 0 is observationally identical to the
-    /// peer being absent.
+    /// idle (`free_at = 0`) rows for the missing ones. Inserting at 0 is
+    /// observationally identical to the peer being absent, and
+    /// [`ServiceQueue::admit`] inserts on demand, so the simulator never
+    /// calls this: it stays `pub` because `benchmark/` pre-sizes a queue
+    /// with it.
     pub fn sync_peers(&mut self, live: &[Ident]) {
         if self.service_time == 0 {
             return;
@@ -206,79 +188,6 @@ impl ServiceQueue {
         }
         self.peers = merged_peers;
         self.free_at = merged_free;
-    }
-
-    /// Splits the backlog columns into disjoint mutable slices, one per
-    /// arc, where `arc_starts[a]` is the smallest raw ident belonging to
-    /// arc `a` (so `arc_starts[0] == 0` and the array is ascending). Each
-    /// returned [`ServiceSlice`] can admit and query only peers inside its
-    /// arc — the split borrows are disjoint, so workers share nothing.
-    pub fn split<'q>(&'q mut self, arc_starts: &[u64]) -> Vec<ServiceSlice<'q>> {
-        debug_assert!(arc_starts.first().is_none_or(|&s| s == 0));
-        debug_assert!(arc_starts.windows(2).all(|w| w[0] <= w[1]));
-        let mut out = Vec::with_capacity(arc_starts.len());
-        let mut peers_rest: &'q [Ident] = &self.peers;
-        let mut free_rest: &'q mut [u64] = &mut self.free_at;
-        for (a, &start) in arc_starts.iter().enumerate() {
-            let end_raw = arc_starts.get(a + 1).copied();
-            let cut = match end_raw {
-                Some(e) => peers_rest.partition_point(|p| p.raw() < e),
-                None => peers_rest.len(),
-            };
-            let (peers_here, p_rest) = peers_rest.split_at(cut);
-            let (free_here, f_rest) = free_rest.split_at_mut(cut);
-            debug_assert!(peers_here.iter().all(|p| p.raw() >= start));
-            peers_rest = p_rest;
-            free_rest = f_rest;
-            out.push(ServiceSlice {
-                service_time: self.service_time,
-                peers: peers_here,
-                free_at: free_here,
-            });
-        }
-        out
-    }
-}
-
-/// One arc's disjoint view of a [`ServiceQueue`]: the same FIFO admission
-/// arithmetic over a `&mut` slice of the backlog column. Produced by
-/// [`ServiceQueue::split`]; admissions through a slice are visible in the
-/// parent queue once the borrow ends.
-pub struct ServiceSlice<'q> {
-    service_time: u64,
-    peers: &'q [Ident],
-    free_at: &'q mut [u64],
-}
-
-impl ServiceSlice<'_> {
-    /// Slice-local [`ServiceQueue::admit`]. The peer must live inside this
-    /// slice's arc (guaranteed when events are partitioned by destination
-    /// arc); an unknown peer is served without recording backlog, which
-    /// can only happen for a peer admitted mid-batch — impossible, since
-    /// membership changes are control-plane events at batch boundaries.
-    pub fn admit(&mut self, peer: Ident, arrival: u64) -> u64 {
-        if self.service_time == 0 {
-            return arrival;
-        }
-        match self.peers.binary_search(&peer) {
-            Ok(i) => {
-                let done = arrival.max(self.free_at[i]) + self.service_time;
-                self.free_at[i] = done;
-                done
-            }
-            Err(_) => {
-                debug_assert!(false, "admit for a peer outside the synced slice: {peer:?}");
-                arrival + self.service_time
-            }
-        }
-    }
-
-    /// Slice-local [`ServiceQueue::backlog_of`].
-    pub fn backlog_of(&self, peer: Ident, now: u64) -> u64 {
-        match self.peers.binary_search(&peer) {
-            Ok(i) => self.free_at[i].saturating_sub(now),
-            Err(_) => 0,
-        }
     }
 }
 
@@ -450,62 +359,6 @@ mod tests {
         let sum: u64 = (0..n).map(|id| m.sample_keyed(&[7, id])).sum();
         let mean = sum as f64 / n as f64;
         assert!((mean - 20.0).abs() < 1.0, "empirical keyed mean {mean}");
-    }
-
-    #[test]
-    fn min_delay_is_a_true_lower_bound() {
-        let models = [
-            LatencyModel::Fixed(4),
-            LatencyModel::Fixed(0),
-            LatencyModel::Uniform { lo: 0, hi: 6 },
-            LatencyModel::Uniform { lo: 3, hi: 9 },
-            LatencyModel::Exponential { mean: 5.0 },
-        ];
-        for m in models {
-            let floor = m.min_delay();
-            assert!(floor >= 1);
-            for id in 0..3_000u64 {
-                assert!(m.sample_keyed(&[11, id]) >= floor, "{m:?} broke its floor");
-            }
-        }
-    }
-
-    #[test]
-    fn split_slices_admit_exactly_like_the_global_queue() {
-        // The satellite-5 regression: partition peers into arcs, drive the
-        // same admission schedule through per-arc slices and through one
-        // global queue — the resulting backlog columns must be identical.
-        let peers: Vec<Ident> = [3u64, 10, 25, 40, 77, 90, 150, 200]
-            .iter()
-            .map(|&r| Ident::from_raw(r << 56))
-            .collect();
-        let schedule: Vec<(usize, u64)> =
-            vec![(0, 5), (3, 5), (3, 6), (7, 9), (1, 12), (3, 14), (6, 20), (0, 21)];
-
-        let mut global = ServiceQueue::new(10);
-        global.sync_peers(&peers);
-        let mut expect = Vec::new();
-        for &(p, at) in &schedule {
-            expect.push(global.admit(peers[p], at));
-        }
-
-        let mut sharded = ServiceQueue::new(10);
-        sharded.sync_peers(&peers);
-        // Three arcs over the raw space: [0, 2^62), [2^62, 2^63), rest.
-        let starts = [0u64, 1 << 62, 1 << 63];
-        let arc_of = |r: u64| starts.iter().rposition(|&s| r >= s).unwrap();
-        {
-            let mut slices = sharded.split(&starts);
-            let mut got = Vec::new();
-            for &(p, at) in &schedule {
-                got.push(slices[arc_of(peers[p].raw())].admit(peers[p], at));
-            }
-            assert_eq!(got, expect, "slice admissions == global admissions");
-        }
-        assert_eq!(sharded, global, "post-batch columns are identical");
-        for &p in &peers {
-            assert_eq!(sharded.backlog_of(p, 20), global.backlog_of(p, 20));
-        }
     }
 
     #[test]

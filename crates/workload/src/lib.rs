@@ -41,14 +41,12 @@
 //!   suspicions: requests bounce off live-but-suspected peers, and the
 //!   suspect/clear timeline is reported per run. The all-zero
 //!   [`DetectorConfig`] reproduces the legacy global `detection_lag`
-//!   constant bit-for-bit;
-//! * **sharded execution** — [`shard`] partitions the data plane by ring
-//!   arc: per-arc event heaps drained by `WorkloadConfig::workers` scoped
-//!   threads between lookahead-sized virtual-time windows, cross-arc
-//!   hand-off over a per-ordered-pair channel mesh merged in a
-//!   thread-count-independent order, and per-arc `PlacementMap` views.
-//!   Every trace is byte-identical at any worker/arc count (pinned by
-//!   `tests/shard_parity.rs`); `workers: 1` takes a serial fast path.
+//!   constant bit-for-bit.
+//!
+//! The simulator is single-threaded: one control-event queue, one
+//! `(time, request id)` min-heap of request events, every draw a keyed hash.
+//! Its traces are pinned by the literal goldens in
+//! `tests/data_plane_golden.rs`.
 //!
 //! ```
 //! use rechord_core::network::ReChordNetwork;
@@ -74,13 +72,12 @@ mod event;
 mod generator;
 mod latency;
 mod metrics;
-pub mod shard;
 mod sim;
 
 pub use adversary::AdversaryConfig;
 pub use detector::{DetectorConfig, FailureDetector, SuspicionEvent};
 pub use event::EventQueue;
 pub use generator::{Op, Request, TrafficConfig, TrafficGen};
-pub use latency::{LatencyModel, ServiceQueue, ServiceSlice};
+pub use latency::{LatencyModel, ServiceQueue};
 pub use metrics::{OutcomeKind, RepairEvent, RequestOutcome, SloSink, SloSummary, WindowStat};
 pub use sim::{SimReport, TrafficSim, WorkloadConfig};

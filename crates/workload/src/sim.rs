@@ -1,6 +1,5 @@
 //! The co-simulation driver: protocol rounds, churn, and client requests on
-//! one discrete-event clock — with the request lifecycle sharded by ring
-//! arc and drained by parallel workers between control-event barriers.
+//! one discrete-event clock, one thread.
 //!
 //! A [`TrafficSim`] owns a live [`ReChordNetwork`] and a [`RoutingTable`]
 //! kept current through the engine's dirty-peer hook. Requests route **hop
@@ -9,20 +8,25 @@
 //! retried from another entry point, or be lost: exactly the client
 //! experience the convergence theorems are silent about.
 //!
-//! The event population splits in two (see [`crate::shard`]):
+//! Two future-event lists share the clock:
 //!
 //! * the **control plane** — rounds, churn, detector ticks, sybil joins,
-//!   repair slices — is rare, globally coupled, and stays on the main
-//!   thread in the global [`EventQueue`];
+//!   repair slices — is rare and lives in the [`EventQueue`] (same-instant
+//!   events fire in scheduling order);
 //! * the **data plane** — request hops and service completions, the hot
-//!   99% — is partitioned by the destination peer's ring arc into
-//!   [`ArcQueues`] and drained by `cfg.workers` threads between control
-//!   barriers. Every mutable column a worker touches (service backlog,
-//!   placement shard, outcome log) belongs to its arcs; every random draw
-//!   is a pure function of `(seed, tag, request id, attempt)`; worker
-//!   buffers merge in canonical order at the barrier. Traces are therefore
-//!   **bit-identical for any worker and arc count** — pinned by
-//!   `tests/shard_parity.rs`.
+//!   99% — is one min-heap keyed by `(time, request id)`. Every request has
+//!   at most one event in flight and each handler emits at most one
+//!   follow-up, never in the past, so that key is a total order and popping
+//!   the minimum is the one canonical schedule. Every random draw on this
+//!   path is a pure function of `(seed, tag, request id, attempt)`, not a
+//!   position in an rng stream.
+//!
+//! [`TrafficSim::run`] alternates: drain every data event strictly before
+//! the next control instant — generating the open-loop arrivals that fall
+//! in between as the clock reaches them — then fire that control event.
+//! Outcomes are therefore recorded in `(completed_at, request id)` order.
+//! The literal goldens in `tests/data_plane_golden.rs` pin the resulting
+//! traces.
 //!
 //! Storage follows Chord's successor-list replication: a put writes the
 //! responsible peer and its `replication - 1` cyclic successors; a get
@@ -52,16 +56,16 @@ use crate::adversary::AdversaryConfig;
 use crate::detector::{DetectorConfig, FailureDetector};
 use crate::event::EventQueue;
 use crate::generator::{Op, Request, TrafficConfig, TrafficGen};
-use crate::latency::{LatencyModel, ServiceQueue, ServiceSlice};
+use crate::latency::{LatencyModel, ServiceQueue};
 use crate::metrics::{OutcomeKind, RequestOutcome, SloSink, SloSummary};
-use crate::shard::{self, ArcQueues, Outbox, ShardHandler};
 use rechord_core::adversary::{chance, mix, AdversaryMap, Behavior, Crime};
 use rechord_core::network::ReChordNetwork;
 use rechord_id::{IdSpace, Ident};
-use rechord_placement::{arc_of, arc_start, ArcView, Departure, PlacementMap, ShardKey};
+use rechord_placement::{Departure, PlacementMap};
 use rechord_routing::{route_step, HopDecision, RoutingTable};
 use rechord_topology::{ChurnEvent, TimedChurnPlan};
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, BinaryHeap};
 use std::sync::Arc;
 
 /// Domain tag for pure per-hop latency draws.
@@ -128,14 +132,10 @@ pub struct WorkloadConfig {
     /// Per-peer failure-detector knobs ([`DetectorConfig`]). The default
     /// (all zero) is the legacy uniform-lag, never-erring detector.
     pub detector: DetectorConfig,
-    /// Data-plane worker threads draining the sharded event queues between
-    /// control barriers. `0` and `1` both mean the serial drain; any value
-    /// yields bit-identical traces (protocol rounds share the same pool
-    /// sizing). Clamped to one worker per arc.
+    /// Accepted and ignored: the simulator is single-threaded. The field
+    /// survives only because `benchmark/` builds this struct literally.
     pub workers: usize,
-    /// Ring arcs the data plane is partitioned into. `0` picks
-    /// `8 × workers` automatically. The trace is independent of this knob
-    /// too; more arcs smooth worker load balance on skewed rings.
+    /// Accepted and ignored, like [`WorkloadConfig::workers`].
     pub arcs: usize,
 }
 
@@ -187,13 +187,12 @@ pub struct SimReport {
     /// Data-plane events processed (request hops plus queued service
     /// completions) — the throughput denominator the benches report.
     pub events: u64,
-    /// [`PlacementMap::digest`] of the final placement — the parity suites
-    /// assert it is identical across worker and arc counts.
+    /// [`PlacementMap::digest`] of the final placement.
     pub placement_digest: u64,
 }
 
-/// Control-plane events: rare, globally coupled, main-thread only. The hot
-/// request lifecycle lives on the sharded data plane as [`Wire`] events.
+/// Control-plane events: rare and globally coupled. The hot request
+/// lifecycle lives on the data plane as [`Wire`] events.
 enum SimEvent {
     /// One protocol round.
     Round,
@@ -221,8 +220,7 @@ enum SimEvent {
     RepairTick(u64),
 }
 
-/// A data-plane event, keyed in [`ArcQueues`] by `(time, request id)` and
-/// routed to the destination peer's arc.
+/// A data-plane event, scheduled in a [`Slot`] by `(time, request id)`.
 enum Wire {
     /// A request arrives at `peer` after a network hop (it still has to be
     /// admitted through the peer's service queue).
@@ -239,6 +237,32 @@ struct InFlight {
     retries: u32,
 }
 
+/// One entry of the data plane's future-event heap. Comparison is on
+/// `(time, request id)` alone and reversed, so the max-heap
+/// [`BinaryHeap`] pops the earliest event, lowest request id first.
+struct Slot {
+    time: u64,
+    id: u64,
+    wire: Wire,
+}
+
+impl PartialEq for Slot {
+    fn eq(&self, other: &Self) -> bool {
+        (self.time, self.id) == (other.time, other.id)
+    }
+}
+impl Eq for Slot {}
+impl PartialOrd for Slot {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Slot {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.time, other.id).cmp(&(self.time, self.id))
+    }
+}
+
 /// The discrete-event traffic simulator (see module docs).
 pub struct TrafficSim {
     cfg: WorkloadConfig,
@@ -246,14 +270,12 @@ pub struct TrafficSim {
     table: RoutingTable,
     space: IdSpace,
     gen: TrafficGen,
-    /// Control-plane future-event list (main thread).
+    /// Control-plane future-event list.
     queue: EventQueue<SimEvent>,
-    /// Data-plane future-event lists, one heap per ring arc.
-    data: ArcQueues<Wire>,
-    /// Resolved arc count (`cfg.arcs`, or the auto default).
-    arcs: usize,
-    /// The next open-loop arrival instant, generated lazily so each batch
-    /// can stage exactly the arrivals that fall before its barrier.
+    /// Data-plane future-event list.
+    data: BinaryHeap<Slot>,
+    /// The next open-loop arrival instant; the request itself is generated
+    /// when the clock gets there.
     next_arrival: Option<u64>,
     /// Seed for all pure data-plane draws (latency, entry picks).
     draw_seed: u64,
@@ -318,10 +340,6 @@ impl TrafficSim {
         {
             queue.push(Self::detector_period(&cfg), SimEvent::DetectorTick(1));
         }
-        // One pool-sizing knob for both planes: protocol rounds fan out
-        // across the same number of threads as the data-plane batches.
-        net.engine_mut().set_threads(cfg.workers.max(1));
-        let arcs = if cfg.arcs > 0 { cfg.arcs } else { cfg.workers.max(1) * 8 };
         TrafficSim {
             space: IdSpace::new(cfg.seed),
             gen: TrafficGen::new(cfg.traffic, cfg.seed),
@@ -329,8 +347,7 @@ impl TrafficSim {
             pending_churn: churn.len(),
             placement,
             service: ServiceQueue::new(cfg.service_time),
-            data: ArcQueues::new(arcs),
-            arcs,
+            data: BinaryHeap::new(),
             next_arrival,
             events_done: 0,
             cfg,
@@ -384,9 +401,8 @@ impl TrafficSim {
     /// network has re-stabilized (or the round budget is exhausted).
     ///
     /// The loop alternates data-plane batches with single control events:
-    /// all data events strictly before the next control instant drain
-    /// (in parallel across arcs), then the control event fires on the main
-    /// thread with exclusive access to everything.
+    /// all data events strictly before the next control instant drain, then
+    /// the control event fires.
     pub fn run(mut self) -> SimReport {
         loop {
             let batch_end = self.queue.next_time().unwrap_or(u64::MAX);
@@ -421,121 +437,59 @@ impl TrafficSim {
         }
     }
 
-    // ---- the sharded data plane -------------------------------------------
+    // ---- the data plane ----------------------------------------------------
 
-    /// Drains every data-plane event strictly before `batch_end`: stages
-    /// the open-loop arrivals that fall inside the batch, splits placement
-    /// and service state into disjoint per-arc columns, runs the workers
-    /// ([`shard::run_batch`]), and merges their buffered effects — outcome
-    /// records, fresh acks, holder-index rows — in canonical order. Every
-    /// step is a pure function of the simulator state, so the merged
-    /// result is bit-identical for any worker count.
+    /// Drains the data plane up to (not including) `batch_end`: open-loop
+    /// arrivals and queued events interleave in `(time, request id)` order.
+    /// Requests are numbered in arrival order, so an arrival goes ahead of
+    /// the queue only when it is strictly earlier than everything in it.
     fn run_data_batch(&mut self, batch_end: u64) {
-        // Stage arrivals due before the barrier. The generator runs on the
-        // main thread (its rng streams stay sequential); the entry pick is
-        // a pure draw so retries on workers share the same scheme.
-        let mut door: Vec<RequestOutcome> = Vec::new();
-        while let Some(at) = self.next_arrival {
-            if at >= batch_end {
+        debug_assert!(
+            self.data.is_empty() || self.table.peers() == self.placement.peers(),
+            "routing table and placement map must agree on membership between control events"
+        );
+        loop {
+            let queued = self.data.peek().map_or(u64::MAX, |s| s.time);
+            if let Some(at) = self.next_arrival.filter(|&at| at < queued.min(batch_end)) {
+                self.on_arrival(at);
+                continue;
+            }
+            if queued >= batch_end {
                 break;
             }
-            let req = self.gen.next_request(at);
-            let gap = self.gen.next_gap();
-            self.next_arrival = (at + gap <= self.cfg.traffic_end).then_some(at + gap);
-            match pick_entry(self.table.peers(), &self.detector, at, self.draw_seed, req.id, 0) {
-                Some(via) => {
-                    // Entering the system is an arrival at the entry peer:
-                    // it pays the same service-queue admission a hop does.
-                    let f = InFlight { req, peer: via, cursor: via, hops: 0, retries: 0 };
-                    self.data.push_for(via.raw(), at, req.id, Wire::Hop(f));
-                }
-                None => door.push(RequestOutcome {
-                    id: req.id,
-                    op: req.op,
-                    key: req.key,
-                    issued_at: at,
-                    completed_at: at,
-                    hops: 0,
-                    retries: 0,
-                    kind: OutcomeKind::Lost,
-                }),
+            let Some(Slot { time, wire, .. }) = self.data.pop() else { break };
+            match wire {
+                Wire::Hop(f) => self.on_hop(time, f),
+                Wire::Serve(f) => self.advance(time, f),
             }
+            self.events_done += 1;
         }
-        if self.data.is_empty() {
-            for o in door {
-                self.sink.record(o);
-            }
-            return;
-        }
-        debug_assert_eq!(
-            self.table.peers(),
-            self.placement.peers(),
-            "routing table and placement map must agree on membership at every barrier"
-        );
-        let arcs = self.arcs;
-        let eff = shard::effective_workers(arcs, self.cfg.workers);
-        let ranges = shard::worker_ranges(arcs, eff);
-        let lookahead = self.cfg.latency.min_delay();
-        self.service.sync_peers(self.table.peers());
+    }
 
-        let TrafficSim {
-            cfg,
-            space,
-            table,
-            detector,
-            adversary,
-            acked,
-            placement,
-            service,
-            data,
-            draw_seed,
-            ..
-        } = self;
-        let (cfg, space, table, detector) = (&*cfg, &*space, &*table, &*detector);
-        let (adversary, acked, draw_seed) = (&**adversary, &*acked, *draw_seed);
-        let starts: Vec<u64> = ranges.iter().map(|r| arc_start(r.start, arcs)).collect();
-        let mut views = placement.arc_views(arcs).into_iter();
-        let slices = service.split(&starts);
-        let mut lanes: Vec<Lane<'_>> = Vec::with_capacity(eff);
-        for (range, slice) in ranges.iter().zip(slices) {
-            lanes.push(Lane {
-                cfg,
-                space,
-                table,
-                detector,
-                adversary,
-                acked,
-                arcs,
-                arc_lo: range.start,
-                views: views.by_ref().take(range.len()).collect(),
-                service: slice,
-                draw_seed,
-                new_acked: BTreeSet::new(),
-                outcomes: Vec::new(),
-            });
-        }
-        let (lanes, events) = shard::run_batch(data, lookahead, batch_end, lanes);
-
-        // Merge: lane buffers carry disjoint requests (outcomes) and
-        // commuting set insertions (acks, holder rows), so sorted
-        // concatenation reproduces the serial engine's record order.
-        let mut outcomes = door;
-        let mut fresh: Vec<u64> = Vec::new();
-        let mut held: Vec<(Ident, ShardKey)> = Vec::new();
-        for lane in lanes {
-            outcomes.extend(lane.outcomes);
-            fresh.extend(lane.new_acked);
-            for view in lane.views {
-                held.extend(view.into_held_adds());
+    /// The generator's next request enters the system at a keyed-random
+    /// entry peer — or is lost at the door when there is none.
+    fn on_arrival(&mut self, at: u64) {
+        let req = self.gen.next_request(at);
+        let gap = self.gen.next_gap();
+        self.next_arrival = (at + gap <= self.cfg.traffic_end).then_some(at + gap);
+        match pick_entry(self.table.peers(), &self.detector, at, self.draw_seed, req.id, 0) {
+            Some(via) => {
+                // Entering the system is an arrival at the entry peer:
+                // it pays the same service-queue admission a hop does.
+                let f = InFlight { req, peer: via, cursor: via, hops: 0, retries: 0 };
+                self.data.push(Slot { time: at, id: req.id, wire: Wire::Hop(f) });
             }
+            None => self.sink.record(RequestOutcome {
+                id: req.id,
+                op: req.op,
+                key: req.key,
+                issued_at: at,
+                completed_at: at,
+                hops: 0,
+                retries: 0,
+                kind: OutcomeKind::Lost,
+            }),
         }
-        placement.apply_held_adds(held);
-        self.acked.extend(fresh);
-        outcomes.sort_by_key(|o| (o.completed_at, o.id));
-        for o in outcomes {
-            self.sink.record(o);
-        }
-        self.events_done += events;
     }
 
     // ---- control-plane event handlers -------------------------------------
@@ -775,9 +729,9 @@ impl TrafficSim {
 }
 
 /// Entry-point choice as a pure draw keyed by `(request id, attempt)`:
-/// arrival staging on the main thread (attempt 0) and worker-side retries
-/// (attempt = the retry ordinal) share the scheme without sharing an rng,
-/// so the pick cannot depend on which thread asks or in what order.
+/// arrival staging (attempt 0) and retries (attempt = the retry ordinal)
+/// share the scheme without sharing an rng, so the pick cannot depend on
+/// the order requests are processed in.
 /// Clients avoid suspected entry points: the draw goes over the *filtered*
 /// list when any suspicion is active (never taken under the accurate
 /// default detector, keeping honest runs on the unfiltered stream).
@@ -803,91 +757,44 @@ fn pick_entry(
     Some(peers[(h % peers.len() as u64) as usize])
 }
 
-/// One worker's slice of the simulator for the duration of one batch:
-/// shared read-only control-plane state (routing table, detector,
-/// adversary map, acked set — all frozen between barriers) plus
-/// exclusively owned per-arc columns (placement views, service backlog).
-/// The request lifecycle runs here — the same logic the serial handlers
-/// historically ran, with every effect either arc-local or buffered for
-/// the deterministic barrier merge.
-struct Lane<'b> {
-    cfg: &'b WorkloadConfig,
-    space: &'b IdSpace,
-    table: &'b RoutingTable,
-    detector: &'b FailureDetector,
-    adversary: &'b AdversaryMap,
-    /// Acks from *earlier* batches (frozen); this batch's land in
-    /// `new_acked`.
-    acked: &'b BTreeSet<u64>,
-    arcs: usize,
-    /// First arc this lane owns; `views[arc - arc_lo]` is the arc's
-    /// placement window.
-    arc_lo: usize,
-    views: Vec<ArcView<'b, ()>>,
-    service: ServiceSlice<'b>,
-    draw_seed: u64,
-    /// Keys acked by puts completed in this batch. A get for a key always
-    /// lands on the same lane as the put that acked it (both complete at
-    /// the key's primary), so checking `acked ∪ new_acked` reproduces the
-    /// serial engine's view exactly.
-    new_acked: BTreeSet<u64>,
-    /// Outcome records buffered for the barrier merge.
-    outcomes: Vec<RequestOutcome>,
-}
-
-impl ShardHandler<Wire> for Lane<'_> {
-    fn handle(&mut self, time: u64, _id: u64, payload: Wire, out: &mut Outbox<Wire>) {
-        match payload {
-            Wire::Hop(f) => self.on_hop(time, f, out),
-            Wire::Serve(f) => self.advance(time, f, out),
-        }
-    }
-}
-
-impl Lane<'_> {
-    fn arc_of_peer(&self, peer: Ident) -> usize {
-        arc_of(peer.raw(), self.arcs)
-    }
-
+/// The request lifecycle: the handlers of the two [`Wire`] events.
+impl TrafficSim {
     /// A hop lands at its receiving peer: admit it through the peer's
-    /// service queue. Hop events fire in canonical `(time, id)` order, so
+    /// service queue. Hop events fire in `(time, request id)` order, so
     /// admission is FIFO in *arrival* order; a loaded peer parks the
-    /// request until its server gets to it. The `Serve` completion stays
-    /// on the same peer — same arc, same lane — so it may legally land
-    /// inside the current lookahead window.
-    fn on_hop(&mut self, now: u64, f: InFlight, out: &mut Outbox<Wire>) {
+    /// request until its server gets to it.
+    fn on_hop(&mut self, now: u64, f: InFlight) {
         if self.table.knowledge_of(f.peer).is_none() {
             // The receiving peer died while the hop was in flight: nothing
             // is there to serve it (and its forgotten service queue must not
             // be resurrected) — bounce straight to the retry path.
-            return self.retry(now, f, out);
+            return self.retry(now, f);
         }
         if self.detector.is_suspected(f.peer, now) {
             // Live but suspected: the sender treats the silence as a crash
             // and re-enters elsewhere — the availability tax a false
             // suspicion (or a stalled heartbeat) levies on a healthy peer.
-            return self.retry(now, f, out);
+            return self.retry(now, f);
         }
         let served_at = self.service.admit(f.peer, now);
         if served_at > now {
-            out.push(self.arc_of_peer(f.peer), served_at, f.req.id, Wire::Serve(f));
+            self.data.push(Slot { time: served_at, id: f.req.id, wire: Wire::Serve(f) });
         } else {
-            self.advance(now, f, out);
+            self.advance(now, f);
         }
     }
 
     /// Drives a request from its current resident peer: free local steps
     /// until the route either needs a network hop (scheduled with a purely
-    /// keyed latency draw, `>= min_delay` — the window-safety bound),
-    /// completes, or gets stuck.
-    fn advance(&mut self, now: u64, mut f: InFlight, out: &mut Outbox<Wire>) {
+    /// keyed latency draw), completes, or gets stuck.
+    fn advance(&mut self, now: u64, mut f: InFlight) {
         let key_pos = self.space.key_position(f.req.key);
         loop {
             if self.table.knowledge_of(f.peer).is_none() {
                 // The resident peer crashed while the request was in flight.
-                return self.retry(now, f, out);
+                return self.retry(now, f);
             }
-            match route_step(self.table, f.peer, f.cursor, key_pos) {
+            match route_step(&self.table, f.peer, f.cursor, key_pos) {
                 HopDecision::Arrived => return self.complete(now, f, key_pos),
                 HopDecision::Next { peer, cursor } => {
                     if peer == f.peer {
@@ -904,7 +811,7 @@ impl Lane<'_> {
                                 if crimes.contains(Crime::DropForward) {
                                     // Silent drop: the client times out and
                                     // pays the full retry price.
-                                    return self.retry(now, f, out);
+                                    return self.retry(now, f);
                                 }
                                 if crimes.contains(Crime::MisrouteForward) {
                                     if let Some(worst) = self.worst_forward(f.peer, key_pos) {
@@ -925,7 +832,7 @@ impl Lane<'_> {
                                     u64::from(f.hops),
                                 ];
                                 if chance(&coin, p) {
-                                    return self.retry(now, f, out);
+                                    return self.retry(now, f);
                                 }
                             }
                             Behavior::Honest => {}
@@ -934,13 +841,13 @@ impl Lane<'_> {
                     f.cursor = next_cursor;
                     f.hops += 1;
                     if f.hops > self.cfg.hop_budget {
-                        return self.retry(now, f, out);
+                        return self.retry(now, f);
                     }
                     f.peer = next;
-                    let lat = self.hop_latency(&f);
-                    return out.push(self.arc_of_peer(f.peer), now + lat, f.req.id, Wire::Hop(f));
+                    let time = now + self.hop_latency(&f);
+                    return self.data.push(Slot { time, id: f.req.id, wire: Wire::Hop(f) });
                 }
-                HopDecision::Stuck => return self.retry(now, f, out),
+                HopDecision::Stuck => return self.retry(now, f),
             }
         }
     }
@@ -952,14 +859,14 @@ impl Lane<'_> {
         self.cfg.latency.sample_keyed(&[self.draw_seed, LAT_TAG, f.req.id, u64::from(f.hops)])
     }
 
-    fn retry(&mut self, now: u64, mut f: InFlight, out: &mut Outbox<Wire>) {
+    fn retry(&mut self, now: u64, mut f: InFlight) {
         f.retries += 1;
         if f.retries > self.cfg.max_retries {
             return self.finish(now, f, OutcomeKind::Lost);
         }
         let via = pick_entry(
             self.table.peers(),
-            self.detector,
+            &self.detector,
             now,
             self.draw_seed,
             f.req.id,
@@ -979,61 +886,54 @@ impl Lane<'_> {
                 if f.hops > self.cfg.hop_budget {
                     return self.finish(now, f, OutcomeKind::Lost);
                 }
-                let lat = self.hop_latency(&f);
-                let at = now + self.cfg.retry_backoff + lat;
-                out.push(self.arc_of_peer(via), at, f.req.id, Wire::Hop(f));
+                let time = now + self.cfg.retry_backoff + self.hop_latency(&f);
+                self.data.push(Slot { time, id: f.req.id, wire: Wire::Hop(f) });
             }
             None => self.finish(now, f, OutcomeKind::Lost),
         }
     }
 
-    /// The request reached the responsible peer — which is exactly the
-    /// key's placement primary, so its shard lives in this lane's views
-    /// (the arc-locality invariant the whole partitioning rests on).
+    /// The request reached the responsible peer — the key's placement
+    /// primary.
     fn complete(&mut self, now: u64, mut f: InFlight, key_pos: Ident) {
-        let vi = self.arc_of_peer(f.peer) - self.arc_lo;
-        debug_assert!(vi < self.views.len(), "completion outside the lane's arc range");
         match f.req.op {
             Op::Put => {
-                self.views[vi].put(key_pos, f.req.key, f.req.id, ());
-                self.new_acked.insert(f.req.key);
+                self.placement.put(key_pos, f.req.key, f.req.id, ());
+                self.acked.insert(f.req.key);
                 self.finish(now, f, OutcomeKind::Success);
             }
             Op::Get => {
-                let view = &self.views[vi];
-                let probe = view.lookup(key_pos, f.req.key);
-                let kind = match probe.hit {
-                    Some((probes, _)) => {
-                        f.hops += probes as u32; // each successor probe is a hop
-                        if !self.adversary.is_all_honest()
-                            && view
-                                .replica_set(key_pos)
-                                .get(probes)
-                                .is_some_and(|&s| self.adversary.commits(s, Crime::StaleReadPoison))
-                        {
-                            // The replica that answered holds the value but
-                            // serves a deliberately stale copy: the client
-                            // gets an answer — just the wrong one.
-                            OutcomeKind::Corrupted
-                        } else {
-                            OutcomeKind::Success
+                let probe = self.placement.lookup(key_pos, f.req.key);
+                let kind =
+                    match probe.hit {
+                        Some((probes, _)) => {
+                            f.hops += probes as u32; // each successor probe is a hop
+                            if !self.adversary.is_all_honest()
+                                && self.placement.replica_set(key_pos).get(probes).is_some_and(
+                                    |&s| self.adversary.commits(s, Crime::StaleReadPoison),
+                                )
+                            {
+                                // The replica that answered holds the value but
+                                // serves a deliberately stale copy: the client
+                                // gets an answer — just the wrong one.
+                                OutcomeKind::Corrupted
+                            } else {
+                                OutcomeKind::Success
+                            }
                         }
-                    }
-                    None if self.acked.contains(&f.req.key)
-                        || self.new_acked.contains(&f.req.key) =>
-                    {
-                        f.hops += (probe.replicas as u32).saturating_sub(1);
-                        OutcomeKind::StaleRead
-                    }
-                    None => OutcomeKind::Success, // clean empty read: key never written
-                };
+                        None if self.acked.contains(&f.req.key) => {
+                            f.hops += (probe.replicas as u32).saturating_sub(1);
+                            OutcomeKind::StaleRead
+                        }
+                        None => OutcomeKind::Success, // clean empty read: key never written
+                    };
                 self.finish(now, f, kind);
             }
         }
     }
 
     fn finish(&mut self, now: u64, f: InFlight, kind: OutcomeKind) {
-        self.outcomes.push(RequestOutcome {
+        self.sink.record(RequestOutcome {
             id: f.req.id,
             op: f.req.op,
             key: f.req.key,
@@ -1083,6 +983,21 @@ mod tests {
     }
 
     #[test]
+    fn slots_order_min_first_by_time_then_id() {
+        let hop = |id| {
+            let req = Request { id, op: Op::Get, key: 0, issued_at: 0 };
+            let at = Ident::from_raw(0);
+            Wire::Hop(InFlight { req, peer: at, cursor: at, hops: 0, retries: 0 })
+        };
+        let mut heap = BinaryHeap::new();
+        for (time, id) in [(9, 1), (3, 7), (3, 2)] {
+            heap.push(Slot { time, id, wire: hop(id) });
+        }
+        let order: Vec<_> = std::iter::from_fn(|| heap.pop()).map(|s| (s.time, s.id)).collect();
+        assert_eq!(order, [(3, 2), (3, 7), (9, 1)], "earliest first, lowest request id on ties");
+    }
+
+    #[test]
     fn steady_state_is_fully_available() {
         let mut sim = TrafficSim::new(steady_cfg(5), stable_net(16, 5), &TimedChurnPlan::default());
         sim.preload();
@@ -1110,33 +1025,6 @@ mod tests {
             (r.sink.trace(), format!("{}", r.summary), r.rounds)
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn worker_and_arc_knobs_never_change_the_trace() {
-        // The headline determinism contract, smoke-sized: any worker and
-        // arc count — serial, more workers than arcs, one arc, prime
-        // splits — produces byte-identical traces, summaries, and event
-        // counts. The full-size sweep lives in tests/shard_parity.rs.
-        let run = |workers: usize, arcs: usize| {
-            let mut cfg = steady_cfg(13);
-            cfg.workers = workers;
-            cfg.arcs = arcs;
-            cfg.service_time = 3;
-            let mut sim = TrafficSim::new(
-                cfg,
-                stable_net(12, 13),
-                &TimedChurnPlan::storm(4, 0.5, 500, 200, 7),
-            );
-            sim.preload();
-            let r = sim.run();
-            (r.sink.trace(), format!("{}", r.summary), r.rounds, r.events)
-        };
-        let serial = run(1, 0);
-        assert_eq!(serial, run(2, 0), "two workers, auto arcs");
-        assert_eq!(serial, run(4, 64), "four workers, explicit arcs");
-        assert_eq!(serial, run(3, 1), "one arc clamps to the serial drain");
-        assert_eq!(serial, run(8, 5), "more workers than arcs");
     }
 
     #[test]
@@ -1232,7 +1120,7 @@ mod tests {
         let req = Request { id: 900, op: Op::Get, key: 3, issued_at: 0 };
         let f = InFlight { req, peer: victim, cursor: victim, hops: 1, retries: 0 };
         sim.next_arrival = None; // no organic traffic in this surgical batch
-        sim.data.push_for(victim.raw(), 0, req.id, Wire::Hop(f));
+        sim.data.push(Slot { time: 0, id: req.id, wire: Wire::Hop(f) });
         sim.run_data_batch(1);
         assert_eq!(sim.service.backlog_of(victim, 1), 0, "guard must not resurrect the queue");
         assert_eq!(sim.data.len(), 1, "the request went to the retry path");
@@ -1254,10 +1142,10 @@ mod tests {
         let req = Request { id: 901, op: Op::Get, key: 5, issued_at: 0 };
         let f = InFlight { req, peer: gone, cursor: gone, hops: 2, retries: 0 };
         sim.next_arrival = None;
-        sim.data.push_for(gone.raw(), 0, req.id, Wire::Hop(f));
+        sim.data.push(Slot { time: 0, id: req.id, wire: Wire::Hop(f) });
         sim.run_data_batch(1);
         // The retry hop is the only event left on the data plane.
-        let (at, id, wire) = sim.data.pop_min().expect("the retry hop is queued");
+        let Slot { time: at, id, wire } = sim.data.pop().expect("the retry hop is queued");
         assert_eq!(id, 901);
         let Wire::Hop(f) = wire else { panic!("expected a hop event") };
         assert_eq!(f.retries, 1);
