@@ -75,6 +75,16 @@ run bash benchmark/run.sh all --smoke --trace
 #     the delta-vs-rebuild proptests must hold.
 run cargo test -q --release --offline -p rechord_placement
 
+# 3i. Round goldens at benchmark scale: the release-only runs of
+#     tests/round_golden.rs (160 cold peers, the 96-peer churn sequence)
+#     pin rounds, messages, the per-round sequence and every final state.
+#     And the perf trajectory stays one JSON object per line.
+run cargo test --release -q --offline --test round_golden -- --include-ignored
+if grep -qv '^{"pr":' perf/trajectory.jsonl; then
+  echo 'ci.sh: every line of perf/trajectory.jsonl must start with {"pr":' >&2
+  exit 1
+fi
+
 # 3h. The static-analysis gate: first prove the linter itself works (the
 #     fixture corpus must match its goldens and every rule must fire on
 #     the known-bad files), then lint the whole workspace — zero unwaived

@@ -1,5 +1,5 @@
 //! Growth-shape fits: the reproduction checks *shapes*, not absolute
-//! numbers (DESIGN.md §5) — e.g. Figure 5's connection edges should track
+//! numbers (README, Interpretations "Shapes") — e.g. Figure 5's connection edges should track
 //! `c·n·log²n`, Figure 6's rounds should grow sublinearly, Theorem 4.1's
 //! join cost should track `log²n`.
 

@@ -2,8 +2,8 @@
 //!
 //! The paper motivates each rule informally (§2.3) and uses all of them in
 //! the convergence proof. The ablation harness switches individual rules
-//! off and measures what breaks — the experiment behind the design-choice
-//! discussion in DESIGN.md and the `ablation` binary:
+//! off and measures what breaks — the experiment behind `repro ablation`
+//! (README, Interpretations "Ablation"):
 //!
 //! * without **linearization** (rule 4) the sorted order never forms;
 //! * without **ring edges** (rule 5) the wrap-around never closes and the

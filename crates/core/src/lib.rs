@@ -80,7 +80,7 @@ pub use metrics::NetworkMetrics;
 pub use msg::Msg;
 pub use network::ReChordNetwork;
 pub use protocol::ReChordProtocol;
-pub use state::{PeerState, VirtualState};
+pub use state::{PeerState, RefSet, VirtualState};
 
 #[cfg(test)]
 mod proptests;

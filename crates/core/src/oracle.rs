@@ -10,7 +10,7 @@ use rechord_id::Ident;
 use std::collections::BTreeMap;
 
 /// The stable-state virtual level count `m` of each peer: the finger level
-/// of its cyclic gap to the next real node (paper §2.2; DESIGN.md A1).
+/// of its cyclic gap to the next real node (paper §2.2; README, Interpretations A1).
 /// A single peer has `m = 1`.
 pub fn stable_levels(real_ids: &[Ident]) -> BTreeMap<Ident, u8> {
     let mut sorted: Vec<Ident> = real_ids.to_vec();

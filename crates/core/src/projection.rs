@@ -124,8 +124,10 @@ pub struct ChordCoverage {
     /// (the theory guarantees these; must be empty in a stable state).
     pub missing_linear: Vec<(Ident, Ident)>,
     /// Missing Chord edges whose realizing virtual node sits in the final
-    /// segment of the ring (wrap-around fingers/successors). The paper's
-    /// emulation closes these through the ring-edge chain; see DESIGN.md.
+    /// segment of the ring (wrap-around fingers/successors). The audit
+    /// takes them as closed through the ring-edge chain (README,
+    /// Interpretations "Wrap edges"); whether that suffices is ROADMAP
+    /// item 1's open question.
     pub missing_wrap: Vec<(Ident, Ident)>,
 }
 
@@ -145,8 +147,9 @@ impl ChordCoverage {
 /// A missing edge is classified as *wrap* when it crosses the `0/1`
 /// boundary in its natural direction (see
 /// [`crate::oracle::ChordEdge::crosses_wrap`]) — those are the edges the
-/// paper's emulation closes through the ring-edge chain rather than through
-/// a direct unmarked edge (DESIGN.md).
+/// audit takes as closed through the ring-edge chain rather than through a
+/// direct unmarked edge (README, Interpretations "Wrap edges"; open as
+/// ROADMAP item 1).
 pub fn chord_coverage(projection: &Projection, real_ids: &[Ident]) -> ChordCoverage {
     let chord = crate::oracle::chord_edges(real_ids);
     let mut cov = ChordCoverage {

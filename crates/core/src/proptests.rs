@@ -2,9 +2,108 @@
 
 use crate::network::ReChordNetwork;
 use crate::oracle;
+use crate::state::RefSet;
 use proptest::prelude::*;
-use rechord_graph::connectivity;
+use rechord_graph::{connectivity, NodeRef};
+use rechord_id::Ident;
 use rechord_topology::TopologyKind;
+use std::collections::BTreeSet;
+use std::ops::Bound;
+
+/// Owners for the `RefSet` model test: a few, so that operations collide,
+/// placed so that virtual positions wrap past `1.0` and land on one
+/// another.
+const OWNERS: [u64; 6] =
+    [0, 1, 0x4000_0000_0000_0000, 0x7fff_ffff_ffff_ffff, 0xc000_0000_0000_0001, u64::MAX];
+
+fn node_ref() -> impl Strategy<Value = NodeRef> {
+    (0..OWNERS.len(), prop_oneof![0u8..7, Just(64u8)])
+        .prop_map(|(k, level)| NodeRef { owner: Ident::from_raw(OWNERS[k]), level })
+}
+
+/// One mutation, applied to a `RefSet` and a `BTreeSet<NodeRef>` alike.
+#[derive(Clone, Debug)]
+enum SetOp {
+    Insert(NodeRef),
+    Remove(NodeRef),
+    /// Keep the refs whose level is not `≡ k (mod 3)`.
+    Retain(u8),
+    Extend(Vec<NodeRef>),
+    Clear,
+}
+
+fn set_op() -> impl Strategy<Value = SetOp> {
+    (0u8..9, node_ref(), prop::collection::vec(node_ref(), 0..5)).prop_map(|(kind, r, more)| {
+        match kind {
+            0..=2 => SetOp::Insert(r),
+            3..=4 => SetOp::Remove(r),
+            5 => SetOp::Retain(r.level % 3),
+            6..=7 => SetOp::Extend(more),
+            _ => SetOp::Clear,
+        }
+    })
+}
+
+/// Applies `ops` to both sets, asserting the returns agree on the way.
+fn apply_ops(ops: &[SetOp]) -> (RefSet, BTreeSet<NodeRef>) {
+    let (mut flat, mut tree) = (RefSet::new(), BTreeSet::new());
+    for op in ops {
+        match op {
+            SetOp::Insert(r) => assert_eq!(flat.insert(*r), tree.insert(*r)),
+            SetOp::Remove(r) => assert_eq!(flat.remove(r), tree.remove(r)),
+            SetOp::Retain(k) => {
+                flat.retain(|r| r.level % 3 != *k);
+                tree.retain(|r| r.level % 3 != *k);
+            }
+            SetOp::Extend(more) => {
+                flat.extend(more.iter().copied());
+                tree.extend(more.iter().copied());
+            }
+            SetOp::Clear => {
+                flat.clear();
+                tree.clear();
+            }
+        }
+    }
+    (flat, tree)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `RefSet` is a drop-in for `BTreeSet<NodeRef>`: after any sequence of
+    /// mutations both hold the same elements, answer every query the rules
+    /// make alike, and compare and print alike (state digests hash the
+    /// printed form).
+    #[test]
+    fn ref_set_models_btree_set(
+        ops in prop::collection::vec(set_op(), 0..40),
+        other in prop::collection::vec(set_op(), 0..12),
+        probes in prop::collection::vec(node_ref(), 1..6),
+    ) {
+        let (flat, tree) = apply_ops(&ops);
+        prop_assert!(flat.iter().eq(tree.iter()));
+        prop_assert!(flat.as_slice().iter().eq(&tree));
+        prop_assert_eq!(flat.len(), tree.len());
+        prop_assert_eq!(flat.is_empty(), tree.is_empty());
+        prop_assert_eq!(flat.first(), tree.first());
+        prop_assert_eq!(flat.last(), tree.last());
+        for x in probes {
+            prop_assert_eq!(flat.contains(&x), tree.contains(&x));
+            prop_assert!(flat.range(..x).eq(tree.range(..x)));
+            prop_assert!(flat.range(..x).rev().eq(tree.range(..x).rev()));
+            let above = (Bound::Excluded(x), Bound::Unbounded);
+            prop_assert!(flat.range(above).eq(tree.range(above)));
+            prop_assert!(flat.range(above).rev().eq(tree.range(above).rev()));
+        }
+        let (flat2, tree2) = apply_ops(&other);
+        prop_assert_eq!(flat == flat2, tree == tree2);
+        prop_assert_eq!(flat.cmp(&flat2), tree.cmp(&tree2));
+        prop_assert_eq!(format!("{flat:?}"), format!("{tree:?}"));
+        prop_assert_eq!(&RefSet::from(tree.clone()), &flat);
+        prop_assert_eq!(tree.iter().copied().collect::<RefSet>(), flat);
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]

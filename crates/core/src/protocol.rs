@@ -4,7 +4,7 @@ use crate::adversary::{AdversaryMap, Crime, CrimeSet};
 use crate::msg::Msg;
 use crate::rules::{self, RuleCtx};
 use crate::state::PeerState;
-use rechord_graph::NodeRef;
+use rechord_graph::{EdgeKind, NodeRef};
 use rechord_id::Ident;
 use rechord_sim::{Outbox, RoundView, SyncProtocol};
 use std::sync::Arc;
@@ -58,9 +58,18 @@ fn validate_references(me: Ident, state: &mut PeerState, view: &RoundView<'_, Pe
     // *own* deleted virtual nodes is just as much a phantom as a foreign
     // one (it arises when another node mirrors an edge back after the level
     // was deleted) and is redirected to the deepest live level likewise.
-    let own_levels: std::collections::BTreeSet<u8> = state.levels.keys().copied().collect();
+    // `sanitize` has dropped every reference above `MAX_LEVEL`, so the
+    // levels queried all fit the mask.
+    let own_levels = state.levels.keys().fold(0u128, |mask, &lvl| mask | level_bit(lvl));
     let own_deepest = state.deepest_level();
-    let remap = |r: &rechord_graph::NodeRef| -> Option<rechord_graph::NodeRef> {
+    let is_stale = |r: &NodeRef| {
+        if r.owner == me {
+            own_levels & level_bit(r.level) == 0
+        } else {
+            view.get(r.owner).is_none_or(|peer| !peer.levels.contains_key(&r.level))
+        }
+    };
+    let remap = |r: &NodeRef| -> Option<NodeRef> {
         if r.owner == me {
             return Some(PeerState::node_ref(me, own_deepest));
         }
@@ -71,28 +80,16 @@ fn validate_references(me: Ident, state: &mut PeerState, view: &RoundView<'_, Pe
             Some(PeerState::node_ref(r.owner, peer.deepest_level()))
         }
     };
-    let levels: Vec<u8> = state.levels.keys().copied().collect();
-    for lvl in levels {
+    for (&lvl, vs) in state.levels.iter_mut() {
         let my_ref = PeerState::node_ref(me, lvl);
-        let Some(vs) = state.level_mut(lvl) else { continue };
-        for kind in rechord_graph::EdgeKind::ALL {
+        for kind in EdgeKind::ALL {
             let set = vs.of_mut(kind);
-            let stale: Vec<rechord_graph::NodeRef> = set
-                .iter()
-                .copied()
-                .filter(|r| {
-                    if r.owner == me {
-                        !own_levels.contains(&r.level)
-                    } else {
-                        match view.get(r.owner) {
-                            None => true,
-                            Some(peer) => !peer.levels.contains_key(&r.level),
-                        }
-                    }
-                })
-                .collect();
+            if !set.iter().any(is_stale) {
+                continue;
+            }
+            let stale: Vec<NodeRef> = set.iter().copied().filter(is_stale).collect();
+            set.retain(|r| !stale.contains(r));
             for r in stale {
-                set.remove(&r);
                 if let Some(fixed) = remap(&r) {
                     if fixed != my_ref {
                         set.insert(fixed);
@@ -108,6 +105,11 @@ fn validate_references(me: Ident, state: &mut PeerState, view: &RoundView<'_, Pe
             vs.rr = None;
         }
     }
+}
+
+/// `level`'s bit in a `u128` level mask (none for levels past the mask).
+fn level_bit(level: u8) -> u128 {
+    1u128.checked_shl(u32::from(level)).unwrap_or(0)
 }
 
 impl ReChordProtocol {

@@ -16,12 +16,12 @@
 //!
 //! `N(u_i)` is the peer-wide knowledge (identical for all siblings), so `v`
 //! is computed once per peer per side-per-level. The `v > rl(y)` guard reads
-//! the neighbor's register from the previous-round snapshot (DESIGN.md A3);
+//! the neighbor's register from the previous-round snapshot (README, Interpretations A3);
 //! an unknown `rl(y)` counts as `-∞` (the message is sent — inserts are
 //! idempotent). When no real node is known on a side, the register is
 //! cleared: a stale `rl`/`rr` must not survive arbitrary initial states.
 
-use super::{max_real_below, min_real_above, RuleCtx};
+use super::{max_real_below, min_real_above, observed, send_insert, RuleCtx};
 use rechord_graph::{EdgeKind, NodeRef};
 
 /// Applies rule 3 to every level.
@@ -29,69 +29,55 @@ pub fn apply(ctx: &mut RuleCtx<'_, '_>) {
     let known = ctx.state.known(ctx.me);
     for lvl in ctx.levels() {
         let ui = ctx.node(lvl);
-        let vl = max_real_below(&known, ui);
-        let vr = min_real_above(&known, ui);
-
-        // left-realneighbor(u_i)
-        if let Some(v) = vl {
-            let informs = neighbors_to_inform(ctx, lvl, ui, v, Side::Left);
-            if let Some(vs) = ctx.state.level_mut(lvl) {
-                vs.nu.insert(v);
-                vs.rl = Some(v);
-            }
-            for y in informs {
-                ctx.send_insert(y, EdgeKind::Unmarked, v);
-            }
-        } else if let Some(vs) = ctx.state.level_mut(lvl) {
-            vs.rl = None;
-        }
-
-        // right-realneighbor(u_i)
-        if let Some(v) = vr {
-            let informs = neighbors_to_inform(ctx, lvl, ui, v, Side::Right);
-            if let Some(vs) = ctx.state.level_mut(lvl) {
-                vs.nu.insert(v);
-                vs.rr = Some(v);
-            }
-            for y in informs {
-                ctx.send_insert(y, EdgeKind::Unmarked, v);
-            }
-        } else if let Some(vs) = ctx.state.level_mut(lvl) {
-            vs.rr = None;
-        }
+        // left-realneighbor(u_i), then right-realneighbor(u_i): the right
+        // side's guard sees the left side's insert.
+        realneighbor(ctx, lvl, ui, max_real_below(&known, ui), Side::Left);
+        realneighbor(ctx, lvl, ui, min_real_above(&known, ui), Side::Right);
     }
 }
 
+#[derive(Clone, Copy)]
 enum Side {
     Left,
     Right,
 }
 
-/// The `y ∈ N_u(u_i)` satisfying the informing guard for the found real
-/// neighbor `v`.
-fn neighbors_to_inform(
-    ctx: &RuleCtx<'_, '_>,
-    lvl: u8,
-    ui: NodeRef,
-    v: NodeRef,
-    side: Side,
-) -> Vec<NodeRef> {
-    let Some(vs) = ctx.state.level(lvl) else { return Vec::new() };
-    vs.nu
-        .iter()
-        .copied()
-        .filter(|&y| y != v)
-        .filter(|&y| match side {
-            // y > u_i ∨ v < y < u_i, and v improves on y's register
-            Side::Left => {
-                (y > ui || (v < y && y < ui)) && ctx.observed_rl(y).is_none_or(|rly| v > rly)
+/// One side of rule 3 at `u_i`: tells every `y ∈ N_u(u_i)` that satisfies
+/// the informing guard about the found real neighbor `v`, then links `v`
+/// and records it in the side's register (or clears the register when the
+/// side has no real node).
+fn realneighbor(ctx: &mut RuleCtx<'_, '_>, lvl: u8, ui: NodeRef, v: Option<NodeRef>, side: Side) {
+    let RuleCtx { me, state, view, out } = ctx;
+    let Some(vs) = state.level(lvl) else { return };
+    if let Some(v) = v {
+        // The guard is evaluated on the state before this side's update.
+        for &y in vs.nu.iter().filter(|&&y| y != v) {
+            let register = observed(*me, state, view, y);
+            let wants = match side {
+                // y > u_i ∨ v < y < u_i, and v improves on y's register
+                Side::Left => {
+                    (y > ui || (v < y && y < ui))
+                        && register.and_then(|r| r.rl).is_none_or(|rly| v > rly)
+                }
+                // y < u_i ∨ v > y > u_i
+                Side::Right => {
+                    (y < ui || (v > y && y > ui))
+                        && register.and_then(|r| r.rr).is_none_or(|rry| v < rry)
+                }
+            };
+            if wants {
+                send_insert(out, y, EdgeKind::Unmarked, v);
             }
-            // y < u_i ∨ v > y > u_i
-            Side::Right => {
-                (y < ui || (v > y && y > ui)) && ctx.observed_rr(y).is_none_or(|rry| v < rry)
-            }
-        })
-        .collect()
+        }
+    }
+    let Some(vs) = state.level_mut(lvl) else { return };
+    if let Some(v) = v {
+        vs.nu.insert(v);
+    }
+    match side {
+        Side::Left => vs.rl = v,
+        Side::Right => vs.rr = v,
+    }
 }
 
 #[cfg(test)]

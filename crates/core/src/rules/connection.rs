@@ -19,68 +19,39 @@
 //! each sibling gap — `Θ(log n)` per virtual node in expectation (paper
 //! §2.2), which is what Figure 5 counts as "connection edges".
 
-use super::{max_below, RuleCtx};
-use rechord_graph::{EdgeKind, NodeRef};
-use std::collections::BTreeSet;
+use super::{max_below, send_insert, RuleCtx};
+use crate::state::{PeerState, RefSet};
+use rechord_graph::EdgeKind;
 
 /// Applies rule 6: sibling linking, then forwarding, per level.
 pub fn apply(ctx: &mut RuleCtx<'_, '_>) {
     // connect-virtual-nodes: contiguous siblings by ring position.
-    let siblings = ctx.state.siblings(ctx.me);
-    for pair in siblings.windows(2) {
+    let siblings: RefSet = ctx.state.siblings(ctx.me).into_iter().collect();
+    for pair in siblings.as_slice().windows(2) {
         let (a, b) = (pair[0], pair[1]);
         if let Some(vs) = ctx.state.level_mut(a.level) {
             vs.nc.insert(b);
         }
     }
 
-    // forward-cedges-{1,2}
-    for lvl in ctx.levels() {
-        let ui = ctx.node(lvl);
-        let held: Vec<NodeRef> =
-            ctx.state.level(lvl).map(|vs| vs.nc.iter().copied().collect()).unwrap_or_default();
-        if held.is_empty() {
-            continue;
-        }
-        // N_u(u_i) ∪ S(u_i): this level's unmarked neighbors plus siblings.
-        let mut pool: BTreeSet<NodeRef> = siblings.iter().copied().collect();
-        if let Some(vs) = ctx.state.level(lvl) {
-            pool.extend(vs.nu.iter().copied());
-        }
-        for v in held {
-            if v == ui {
-                if let Some(vs) = ctx.state.level_mut(lvl) {
-                    vs.nc.remove(&v);
-                }
-                continue;
-            }
-            match max_below(&pool, v) {
-                Some(w) if w != ui => {
-                    // hop the edge to the known node closest below v
-                    ctx.send_insert(w, EdgeKind::Connection, v);
-                    if let Some(vs) = ctx.state.level_mut(lvl) {
-                        vs.nc.remove(&v);
-                    }
-                }
-                Some(_) => {
-                    // u_i is the last known node below v: backward unmarked
-                    // edge from v to u_i closes the gap.
-                    ctx.send_insert(v, EdgeKind::Unmarked, ui);
-                    if let Some(vs) = ctx.state.level_mut(lvl) {
-                        vs.nc.remove(&v);
-                    }
-                }
-                None => {
-                    // v lies below everything we know (possible only in
-                    // corrupted initial states): same dissolution keeps the
-                    // pair weakly connected.
-                    ctx.send_insert(v, EdgeKind::Unmarked, ui);
-                    if let Some(vs) = ctx.state.level_mut(lvl) {
-                        vs.nc.remove(&v);
-                    }
-                }
+    // forward-cedges-{1,2}: every held edge leaves `N_c(u_i)` this round,
+    // by one action or the other.
+    for (&lvl, vs) in ctx.state.levels.iter_mut() {
+        let ui = PeerState::node_ref(ctx.me, lvl);
+        for &v in vs.nc.iter().filter(|&&v| v != ui) {
+            // w = max{x ∈ N_u(u_i) ∪ S(u_i) : x < v}
+            match [max_below(&vs.nu, v), max_below(&siblings, v)].into_iter().flatten().max() {
+                // hop the edge to the known node closest below v
+                Some(w) if w != ui => send_insert(ctx.out, w, EdgeKind::Connection, v),
+                // u_i is the last known node below v: backward unmarked
+                // edge from v to u_i closes the gap. When v lies below
+                // everything we know (possible only in corrupted initial
+                // states), the same dissolution keeps the pair weakly
+                // connected.
+                _ => send_insert(ctx.out, v, EdgeKind::Unmarked, ui),
             }
         }
+        vs.nc.clear();
     }
 }
 

@@ -20,59 +20,44 @@
 //!   lin-left/lin-right, after which the closest-real edges are re-added so
 //!   the stable neighborhood is `{closest-left, closest-right, rl, rr}`.
 
-use super::RuleCtx;
-use rechord_graph::{EdgeKind, NodeRef};
+use super::{send_insert, RuleCtx};
+use crate::state::PeerState;
+use rechord_graph::EdgeKind;
+use std::ops::Bound;
 
 /// Applies rule 4 to every level.
 pub fn apply(ctx: &mut RuleCtx<'_, '_>) {
-    for lvl in ctx.levels() {
-        let ui = ctx.node(lvl);
-        let Some(vs) = ctx.state.level(lvl) else { continue };
+    for (&lvl, vs) in ctx.state.levels.iter_mut() {
+        let ui = PeerState::node_ref(ctx.me, lvl);
+        let lefts = vs.nu.range(..ui).as_slice();
+        let rights = vs.nu.range((Bound::Excluded(ui), Bound::Unbounded)).as_slice();
 
         // lin-left: descending left neighbors w_0 > w_1 > ...; each w_l is
         // told about w_{l+1}; u_i unlearns everything but w_0.
-        let lefts: Vec<NodeRef> = vs.nu.range(..ui).rev().copied().collect();
-        // lin-right: ascending right neighbors.
-        let rights: Vec<NodeRef> = {
-            use std::ops::Bound;
-            vs.nu.range((Bound::Excluded(ui), Bound::Unbounded)).copied().collect()
-        };
-
         for pair in lefts.windows(2) {
-            let (w, v) = (pair[0], pair[1]);
-            ctx.send_insert(w, EdgeKind::Unmarked, v);
+            send_insert(ctx.out, pair[1], EdgeKind::Unmarked, pair[0]);
         }
+        // lin-right: ascending right neighbors, likewise.
         for pair in rights.windows(2) {
-            let (w, v) = (pair[0], pair[1]);
-            ctx.send_insert(w, EdgeKind::Unmarked, v);
+            send_insert(ctx.out, pair[0], EdgeKind::Unmarked, pair[1]);
         }
-        if let Some(vs) = ctx.state.level_mut(lvl) {
-            for v in lefts.iter().skip(1) {
-                vs.nu.remove(v);
+        let (closest_left, closest_right) = (lefts.last().copied(), rights.first().copied());
+        vs.nu.retain(|&w| {
+            if w < ui {
+                Some(w) == closest_left
+            } else {
+                w == ui || Some(w) == closest_right
             }
-            for v in rights.iter().skip(1) {
-                vs.nu.remove(v);
-            }
-        }
+        });
 
         // mirroring: the remaining closest neighbors learn about u_i...
-        let mirror_targets: Vec<NodeRef> =
-            ctx.state.level(lvl).map(|vs| vs.nu.iter().copied().collect()).unwrap_or_default();
-        for v in mirror_targets {
-            ctx.send_insert(v, EdgeKind::Unmarked, ui);
+        for &v in vs.nu.iter() {
+            send_insert(ctx.out, v, EdgeKind::Unmarked, ui);
         }
         // ...and the closest-real edges are restored.
-        if let Some(vs) = ctx.state.level_mut(lvl) {
-            let (rl, rr) = (vs.rl, vs.rr);
-            if let Some(rl) = rl {
-                if rl != ui {
-                    vs.nu.insert(rl);
-                }
-            }
-            if let Some(rr) = rr {
-                if rr != ui {
-                    vs.nu.insert(rr);
-                }
+        for r in [vs.rl, vs.rr].into_iter().flatten() {
+            if r != ui {
+                vs.nu.insert(r);
             }
         }
     }

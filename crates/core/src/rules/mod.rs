@@ -9,14 +9,14 @@
 //! * Delayed assignments (`<-`) become [`Msg`] inserts applied at the round
 //!   boundary.
 //! * Guards may read a neighbor's variables; those reads go against the
-//!   previous round's snapshot (DESIGN.md A3).
+//!   previous round's snapshot (README, Interpretations A3).
 
 use crate::msg::Msg;
-use crate::state::PeerState;
+use crate::state::{PeerState, RefSet, VirtualState};
 use rechord_graph::{EdgeKind, NodeRef};
 use rechord_id::Ident;
 use rechord_sim::{Outbox, RoundView};
-use std::collections::BTreeSet;
+use std::ops::Bound;
 
 pub mod closest_real;
 pub mod connection;
@@ -39,15 +39,6 @@ pub struct RuleCtx<'a, 'v> {
 }
 
 impl<'a, 'v> RuleCtx<'a, 'v> {
-    /// Emits the delayed assignment `N_kind(at) <- N_kind(at) ∪ {edge}`.
-    /// Self-edges are dropped at the source.
-    pub fn send_insert(&mut self, at: NodeRef, kind: EdgeKind, edge: NodeRef) {
-        if at == edge {
-            return;
-        }
-        self.out.send(at.owner, Msg { at, kind, edge });
-    }
-
     /// The executing peer's node reference at `level`.
     pub fn node(&self, level: u8) -> NodeRef {
         PeerState::node_ref(self.me, level)
@@ -57,47 +48,52 @@ impl<'a, 'v> RuleCtx<'a, 'v> {
     pub fn levels(&self) -> Vec<u8> {
         self.state.levels.keys().copied().collect()
     }
+}
 
-    /// `rl(y)` as observable by this peer: own siblings read the current
-    /// in-round state; foreign nodes read the snapshot. `None` means
-    /// "unknown", which guards treat as `-∞` (the information is sent).
-    pub fn observed_rl(&self, y: NodeRef) -> Option<NodeRef> {
-        if y.owner == self.me {
-            self.state.level(y.level).and_then(|vs| vs.rl)
-        } else {
-            self.view.get(y.owner).and_then(|st| st.level(y.level)).and_then(|vs| vs.rl)
-        }
-    }
-
-    /// `rr(y)` as observable by this peer (see [`RuleCtx::observed_rl`]).
-    pub fn observed_rr(&self, y: NodeRef) -> Option<NodeRef> {
-        if y.owner == self.me {
-            self.state.level(y.level).and_then(|vs| vs.rr)
-        } else {
-            self.view.get(y.owner).and_then(|st| st.level(y.level)).and_then(|vs| vs.rr)
-        }
+/// The state of node `y` as observable by peer `me`: own siblings read the
+/// current in-round `state`; foreign nodes read the snapshot. Rule 3 reads
+/// `rl(y)`/`rr(y)` through it; `None` means "unknown", which its guards
+/// treat as `-∞` (the information is sent). It takes the context's parts,
+/// not the context, so a rule can read while it holds the outbox.
+fn observed<'s>(
+    me: Ident,
+    state: &'s PeerState,
+    view: &RoundView<'s, PeerState>,
+    y: NodeRef,
+) -> Option<&'s VirtualState> {
+    if y.owner == me {
+        state.level(y.level)
+    } else {
+        view.get(y.owner).and_then(|st| st.level(y.level))
     }
 }
 
+/// Emits the delayed assignment `N_kind(at) <- N_kind(at) ∪ {edge}`.
+/// Self-edges are dropped at the source.
+pub fn send_insert(out: &mut Outbox<Msg>, at: NodeRef, kind: EdgeKind, edge: NodeRef) {
+    if at == edge {
+        return;
+    }
+    out.send(at.owner, Msg { at, kind, edge });
+}
+
 /// Largest element of `set` strictly below `x` (paper's `max{w : w < x}`).
-pub fn max_below(set: &BTreeSet<NodeRef>, x: NodeRef) -> Option<NodeRef> {
+pub fn max_below(set: &RefSet, x: NodeRef) -> Option<NodeRef> {
     set.range(..x).next_back().copied()
 }
 
 /// Smallest element of `set` strictly above `x` (paper's `min{w : w > x}`).
-pub fn min_above(set: &BTreeSet<NodeRef>, x: NodeRef) -> Option<NodeRef> {
-    use std::ops::Bound;
+pub fn min_above(set: &RefSet, x: NodeRef) -> Option<NodeRef> {
     set.range((Bound::Excluded(x), Bound::Unbounded)).next().copied()
 }
 
 /// Largest **real** element strictly below `x`.
-pub fn max_real_below(set: &BTreeSet<NodeRef>, x: NodeRef) -> Option<NodeRef> {
+pub fn max_real_below(set: &RefSet, x: NodeRef) -> Option<NodeRef> {
     set.range(..x).rev().find(|r| r.is_real()).copied()
 }
 
 /// Smallest **real** element strictly above `x`.
-pub fn min_real_above(set: &BTreeSet<NodeRef>, x: NodeRef) -> Option<NodeRef> {
-    use std::ops::Bound;
+pub fn min_real_above(set: &RefSet, x: NodeRef) -> Option<NodeRef> {
     set.range((Bound::Excluded(x), Bound::Unbounded)).find(|r| r.is_real()).copied()
 }
 
@@ -146,7 +142,7 @@ mod tests {
 
     #[test]
     fn range_helpers() {
-        let set: BTreeSet<NodeRef> = [r(10), v(20, 4), r(30)].into_iter().collect();
+        let set: RefSet = [r(10), v(20, 4), r(30)].into_iter().collect();
         // v(20,4) sits at 20 + 2^60, i.e. position way above 30
         assert_eq!(max_below(&set, r(30)), Some(r(10)));
         assert_eq!(min_above(&set, r(10)), Some(r(30)));
@@ -158,7 +154,7 @@ mod tests {
 
     #[test]
     fn real_filters_skip_virtuals() {
-        let set: BTreeSet<NodeRef> = [v(1, 1), r(100), v(2, 1)].into_iter().collect();
+        let set: RefSet = [v(1, 1), r(100), v(2, 1)].into_iter().collect();
         // virtuals at ~half the ring; r(100) is the only real
         assert_eq!(max_real_below(&set, v(1, 1)), Some(r(100)));
         assert_eq!(min_real_above(&set, r(100)), None);

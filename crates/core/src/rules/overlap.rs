@@ -22,11 +22,11 @@ pub fn apply(ctx: &mut RuleCtx<'_, '_>) {
     for lvl in ctx.levels() {
         let ui = ctx.node(lvl);
         let Some(vs) = ctx.state.level(lvl) else { continue };
-        let moves: Vec<(NodeRef, NodeRef)> = vs
-            .nu
-            .iter()
-            .filter_map(|&w| best_sibling_between(&siblings, w, ui).map(|uj| (w, uj)))
-            .collect();
+        let move_of = |&w: &NodeRef| best_sibling_between(&siblings, w, ui).map(|uj| (w, uj));
+        if !vs.nu.iter().any(|w| move_of(w).is_some()) {
+            continue;
+        }
+        let moves: Vec<(NodeRef, NodeRef)> = vs.nu.iter().filter_map(move_of).collect();
         for (w, uj) in moves {
             if let Some(vs) = ctx.state.level_mut(lvl) {
                 vs.nu.remove(&w);
@@ -40,14 +40,17 @@ pub fn apply(ctx: &mut RuleCtx<'_, '_>) {
     }
 }
 
-/// The sibling strictly between `w` and `ui` that is closest to `w`, if any.
+/// The sibling strictly between `w` and `ui` that is closest to `w`, if any
+/// (`siblings` ascends by position).
 fn best_sibling_between(siblings: &[NodeRef], w: NodeRef, ui: NodeRef) -> Option<NodeRef> {
     if w < ui {
         // w < u_j < u_i: the minimal such sibling is closest to w.
-        siblings.iter().copied().find(|&s| w < s && s < ui)
+        let above_w = siblings.partition_point(|&s| s <= w);
+        siblings.get(above_w).copied().filter(|&s| s < ui)
     } else if w > ui {
         // w > u_j > u_i: the maximal such sibling is closest to w.
-        siblings.iter().rev().copied().find(|&s| w > s && s > ui)
+        let below_w = siblings.partition_point(|&s| s < w);
+        below_w.checked_sub(1).map(|i| siblings[i]).filter(|&s| s > ui)
     } else {
         None
     }

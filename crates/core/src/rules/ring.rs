@@ -22,70 +22,56 @@
 //! candidate exists), while the per-round re-creations flow as a constant
 //! in-transit stream along the greedy path — the state is a fixpoint even
 //! though edges keep being recreated, because the stream pattern repeats
-//! identically each round (DESIGN.md A7).
+//! identically each round (README, Interpretations A7).
 //!
-//! `N(u)` in the create guard is the peer-wide knowledge (DESIGN.md A5);
-//! when `l2`/`r2` can choose among several witnesses `x`, we take the one
-//! closest to `w` (deterministic, and it minimizes the new edge's range,
-//! matching the Phase-5 "unnecessary edges shrink" argument).
+//! `N(u)` in the create guard is the peer-wide knowledge (README,
+//! Interpretations A5); when `l2`/`r2` can choose among several witnesses
+//! `x`, we take the one closest to `w` (deterministic, and it minimizes the
+//! new edge's range, matching the Phase-5 "unnecessary edges shrink"
+//! argument).
 
-use super::{max_below, min_above, RuleCtx};
+use super::{max_below, min_above, send_insert, RuleCtx};
+use crate::state::PeerState;
 use rechord_graph::{EdgeKind, NodeRef};
-use std::collections::BTreeSet;
 
 /// Applies rule 5 to every level.
 pub fn apply(ctx: &mut RuleCtx<'_, '_>) {
     let known = ctx.state.known(ctx.me);
-    let global_min = known.iter().next().copied();
-    let global_max = known.iter().next_back().copied();
+    let global_min = known.first().copied();
+    let global_max = known.last().copied();
 
-    for lvl in ctx.levels() {
-        let ui = ctx.node(lvl);
-        let Some(vs) = ctx.state.level(lvl) else { continue };
+    for (&lvl, vs) in ctx.state.levels.iter_mut() {
+        let ui = PeerState::node_ref(ctx.me, lvl);
 
         // create-ring-edge-left: no unmarked left neighbor.
-        let has_left = vs.nu.range(..ui).next_back().is_some();
-        if !has_left {
-            if let Some(v) = global_max {
-                if v != ui {
-                    ctx.send_insert(v, EdgeKind::Ring, ui);
-                }
+        if vs.nu.first().is_none_or(|&w| w >= ui) {
+            if let Some(v) = global_max.filter(|&v| v != ui) {
+                send_insert(ctx.out, v, EdgeKind::Ring, ui);
             }
         }
         // create-ring-edge-right: no unmarked right neighbor.
-        let has_right = {
-            use std::ops::Bound;
-            ctx.state.level(lvl).is_some_and(|vs| {
-                vs.nu.range((Bound::Excluded(ui), Bound::Unbounded)).next().is_some()
-            })
-        };
-        if !has_right {
-            if let Some(v) = global_min {
-                if v != ui {
-                    ctx.send_insert(v, EdgeKind::Ring, ui);
-                }
+        if vs.nu.last().is_none_or(|&w| w <= ui) {
+            if let Some(v) = global_min.filter(|&v| v != ui) {
+                send_insert(ctx.out, v, EdgeKind::Ring, ui);
             }
         }
 
-        // forward-ring-edge-{l1,l2,r1,r2}
-        let held: Vec<NodeRef> =
-            ctx.state.level(lvl).map(|vs| vs.nr.iter().copied().collect()).unwrap_or_default();
-        for w in held {
+        // forward-ring-edge-{l1,l2,r1,r2}, over the held edges in ascending
+        // order. The witness pool is `N(u) ∪ N_r(u_i)` with the edges
+        // already passed on this round gone from `N_r(u_i)`, so it is
+        // queried on the live set.
+        let mut next = 0;
+        while let Some(&w) = vs.nr.as_slice().get(next) {
             if w == ui {
                 // degenerate self-target from an arbitrary initial state
-                if let Some(vs) = ctx.state.level_mut(lvl) {
-                    vs.nr.remove(&w);
-                }
+                vs.nr.remove(&w);
                 continue;
             }
-            let nr_now: BTreeSet<NodeRef> =
-                ctx.state.level(lvl).map(|vs| vs.nr.clone()).unwrap_or_default();
-            let mut pool: BTreeSet<NodeRef> = known.clone();
-            pool.extend(nr_now.iter().copied());
-
             let disposition = if w > ui {
                 // the requester believes it is the minimum
-                if let Some(x) = min_above(&pool, w) {
+                let witness =
+                    [min_above(&known, w), min_above(&vs.nr, w)].into_iter().flatten().min();
+                if let Some(x) = witness {
                     Disposition::Dissolve(x)
                 } else if let Some(v) = global_min.filter(|&v| v != ui && v < ui) {
                     Disposition::Forward(v)
@@ -94,7 +80,9 @@ pub fn apply(ctx: &mut RuleCtx<'_, '_>) {
                 }
             } else {
                 // w < ui: the requester believes it is the maximum
-                if let Some(x) = max_below(&pool, w) {
+                let witness =
+                    [max_below(&known, w), max_below(&vs.nr, w)].into_iter().flatten().max();
+                if let Some(x) = witness {
                     Disposition::Dissolve(x)
                 } else if let Some(v) = global_max.filter(|&v| v != ui && v > ui) {
                     Disposition::Forward(v)
@@ -104,20 +92,14 @@ pub fn apply(ctx: &mut RuleCtx<'_, '_>) {
             };
 
             match disposition {
-                Disposition::Dissolve(x) => {
-                    ctx.send_insert(x, EdgeKind::Unmarked, w);
-                    if let Some(vs) = ctx.state.level_mut(lvl) {
-                        vs.nr.remove(&w);
-                    }
+                Disposition::Dissolve(x) => send_insert(ctx.out, x, EdgeKind::Unmarked, w),
+                Disposition::Forward(v) => send_insert(ctx.out, v, EdgeKind::Ring, w),
+                Disposition::Hold => {
+                    next += 1;
+                    continue;
                 }
-                Disposition::Forward(v) => {
-                    ctx.send_insert(v, EdgeKind::Ring, w);
-                    if let Some(vs) = ctx.state.level_mut(lvl) {
-                        vs.nr.remove(&w);
-                    }
-                }
-                Disposition::Hold => {}
             }
+            vs.nr.remove(&w);
         }
     }
 }

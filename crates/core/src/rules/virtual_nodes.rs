@@ -7,7 +7,6 @@
 //! > `N_u(u_m) := N_u(u_m) ∪ N_u(u_i) ∪ N_r(u_i) ∪ N_c(u_i)`.
 
 use super::RuleCtx;
-use crate::state::VirtualState;
 
 /// Applies rule 1 with the freshly computed `m` (see
 /// [`crate::state::PeerState::compute_m`]).
@@ -18,25 +17,19 @@ pub fn apply(ctx: &mut RuleCtx<'_, '_>, m: u8) {
     }
 
     // delete-virtualnodes(u): u_i ∈ S(u) ∧ i > m  →  hand over, then drop.
-    let doomed: Vec<u8> = ctx.state.levels.keys().copied().filter(|&l| l > m).collect();
+    let Some(first_doomed) = m.checked_add(1) else { return };
+    let doomed = ctx.state.levels.split_off(&first_doomed);
     if doomed.is_empty() {
         return;
     }
-    let mut inherited = VirtualState::default();
-    for lvl in &doomed {
-        if let Some(vs) = ctx.state.levels.remove(lvl) {
-            inherited.nu.extend(vs.nu);
-            inherited.nu.extend(vs.nr);
-            inherited.nu.extend(vs.nc);
-        }
-    }
     let um_ref = ctx.node(m);
     let um = ctx.state.levels.get_mut(&m).expect("u_m exists after creation");
-    for t in inherited.nu {
-        if t != um_ref {
-            um.nu.insert(t);
-        }
-    }
+    um.nu.extend(
+        doomed
+            .into_values()
+            .flat_map(|vs| vs.nu.into_iter().chain(vs.nr).chain(vs.nc))
+            .filter(|&t| t != um_ref),
+    );
 }
 
 #[cfg(test)]

@@ -41,8 +41,9 @@ pub struct StableStateAudit {
 impl StableStateAudit {
     /// The reproduction's acceptance predicate for a stable state: all
     /// desired structure present, no spurious unmarked edges, connectivity
-    /// intact, and every non-wrap Chord edge realized (wrap edges are closed
-    /// through the ring-edge chain; see DESIGN.md).
+    /// intact, and every non-wrap Chord edge realized (wrap edges are
+    /// exempt: README, Interpretations "Wrap edges"; whether they must be
+    /// direct edges is ROADMAP item 1's open question).
     pub fn is_clean(&self) -> bool {
         self.missing_unmarked.is_empty()
             && self.extra_unmarked.is_empty()

@@ -1,19 +1,179 @@
 //! Per-peer protocol state: the neighborhoods of every simulated node.
+//!
+//! A peer's state is a `BTreeMap` from virtual level to [`VirtualState`],
+//! and each node's three neighborhoods are [`RefSet`]s: sorted vectors of
+//! [`NodeRef`]s in ring order. A neighborhood holds about four references
+//! at the stable state, so a binary search over one short slice answers the
+//! rules' membership and `max{w < x}` / `min{w > x}` queries, and clone,
+//! comparison and iteration are slice operations. `Eq`, `Ord` and `Debug`
+//! of a `RefSet` are those of a `BTreeSet<NodeRef>` with the same elements,
+//! so the engine's fixpoint check, the wire encoding and the printed state
+//! (which state digests hash) do not depend on the representation.
 
+use core::fmt;
+use core::ops::{Bound, RangeBounds};
 use rechord_graph::{EdgeKind, NodeRef};
 use rechord_id::{Ident, MAX_LEVEL};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// A set of [`NodeRef`]s: a vector kept sorted by `NodeRef`'s ring order
+/// and free of duplicates.
+///
+/// It offers the subset of `BTreeSet<NodeRef>`'s interface the protocol
+/// uses, with the same semantics; [`RefSet::as_slice`] exposes the sorted
+/// elements for callers that search them directly.
+#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct RefSet(Vec<NodeRef>);
+
+impl RefSet {
+    /// The empty set.
+    pub fn new() -> Self {
+        RefSet(Vec::new())
+    }
+
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True iff the set has no elements.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The elements in ascending ring order.
+    pub fn iter(&self) -> core::slice::Iter<'_, NodeRef> {
+        self.0.iter()
+    }
+
+    /// The elements as a sorted slice.
+    pub fn as_slice(&self) -> &[NodeRef] {
+        &self.0
+    }
+
+    /// Is `r` an element?
+    pub fn contains(&self, r: &NodeRef) -> bool {
+        self.0.binary_search(r).is_ok()
+    }
+
+    /// Adds `r`; returns whether it was absent.
+    pub fn insert(&mut self, r: NodeRef) -> bool {
+        match self.0.binary_search(&r) {
+            Ok(_) => false,
+            Err(at) => {
+                self.0.insert(at, r);
+                true
+            }
+        }
+    }
+
+    /// Removes `r`; returns whether it was present.
+    pub fn remove(&mut self, r: &NodeRef) -> bool {
+        match self.0.binary_search(r) {
+            Ok(at) => {
+                self.0.remove(at);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// Keeps only the elements for which `keep` returns `true`.
+    pub fn retain(&mut self, keep: impl FnMut(&NodeRef) -> bool) {
+        self.0.retain(keep);
+    }
+
+    /// Removes every element (keeping the allocation).
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    /// The smallest element.
+    pub fn first(&self) -> Option<&NodeRef> {
+        self.0.first()
+    }
+
+    /// The largest element.
+    pub fn last(&self) -> Option<&NodeRef> {
+        self.0.last()
+    }
+
+    /// The elements within `range`, ascending (double-ended, so
+    /// `range(..x).next_back()` is `max{w : w < x}`). An empty or inverted
+    /// range yields nothing.
+    pub fn range(&self, range: impl RangeBounds<NodeRef>) -> core::slice::Iter<'_, NodeRef> {
+        let lo = match range.start_bound() {
+            Bound::Included(x) => self.0.partition_point(|r| r < x),
+            Bound::Excluded(x) => self.0.partition_point(|r| r <= x),
+            Bound::Unbounded => 0,
+        };
+        let hi = match range.end_bound() {
+            Bound::Included(x) => self.0.partition_point(|r| r <= x),
+            Bound::Excluded(x) => self.0.partition_point(|r| r < x),
+            Bound::Unbounded => self.0.len(),
+        };
+        self.0[lo..hi.max(lo)].iter()
+    }
+}
+
+impl fmt::Debug for RefSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(&self.0).finish()
+    }
+}
+
+impl Extend<NodeRef> for RefSet {
+    fn extend<I: IntoIterator<Item = NodeRef>>(&mut self, refs: I) {
+        let before = self.0.len();
+        self.0.extend(refs);
+        if self.0.len() > before {
+            self.0.sort_unstable();
+            self.0.dedup();
+        }
+    }
+}
+
+impl FromIterator<NodeRef> for RefSet {
+    fn from_iter<I: IntoIterator<Item = NodeRef>>(refs: I) -> Self {
+        let mut refs: Vec<NodeRef> = refs.into_iter().collect();
+        refs.sort_unstable();
+        refs.dedup();
+        RefSet(refs)
+    }
+}
+
+impl IntoIterator for RefSet {
+    type Item = NodeRef;
+    type IntoIter = std::vec::IntoIter<NodeRef>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.into_iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a RefSet {
+    type Item = &'a NodeRef;
+    type IntoIter = core::slice::Iter<'a, NodeRef>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl From<BTreeSet<NodeRef>> for RefSet {
+    fn from(set: BTreeSet<NodeRef>) -> Self {
+        RefSet(set.into_iter().collect())
+    }
+}
 
 /// State of one (real or virtual) node: its outgoing neighborhoods and the
 /// closest-real-neighbor registers of rule 3.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct VirtualState {
     /// Unmarked out-neighbors `N_u(u_i)`.
-    pub nu: BTreeSet<NodeRef>,
+    pub nu: RefSet,
     /// Ring out-neighbors `N_r(u_i)`.
-    pub nr: BTreeSet<NodeRef>,
+    pub nr: RefSet,
     /// Connection out-neighbors `N_c(u_i)`.
-    pub nc: BTreeSet<NodeRef>,
+    pub nc: RefSet,
     /// `rl(u_i)`: closest known real node left of `u_i` (rule 3).
     pub rl: Option<NodeRef>,
     /// `rr(u_i)`: closest known real node right of `u_i` (rule 3).
@@ -22,7 +182,7 @@ pub struct VirtualState {
 
 impl VirtualState {
     /// The neighborhood set of one edge class.
-    pub fn of(&self, kind: EdgeKind) -> &BTreeSet<NodeRef> {
+    pub fn of(&self, kind: EdgeKind) -> &RefSet {
         match kind {
             EdgeKind::Unmarked => &self.nu,
             EdgeKind::Ring => &self.nr,
@@ -31,7 +191,7 @@ impl VirtualState {
     }
 
     /// Mutable neighborhood set of one edge class.
-    pub fn of_mut(&mut self, kind: EdgeKind) -> &mut BTreeSet<NodeRef> {
+    pub fn of_mut(&mut self, kind: EdgeKind) -> &mut RefSet {
         match kind {
             EdgeKind::Unmarked => &mut self.nu,
             EdgeKind::Ring => &mut self.nr,
@@ -50,7 +210,8 @@ impl VirtualState {
 /// Level `0` is the real node `u_0 = u` and always exists; levels `1..=m`
 /// are the virtual nodes currently alive (rule 1 adjusts the set each
 /// round). The engine's fixpoint check compares `PeerState`s structurally,
-/// so every container here is ordered/deterministic.
+/// so every container here is ordered: levels ascend by number, and every
+/// [`RefSet`] ascends by ring position.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PeerState {
     /// Per-level node state, keyed by virtual level (`0` = real node).
@@ -96,15 +257,16 @@ impl PeerState {
     }
 
     /// `N(u) = S(u) ∪ ⋃_j N_u(u_j)`: the peer's known neighborhood through
-    /// unmarked edges (paper §2.2). Identical for every sibling, so it is
-    /// computed once per peer per round.
-    pub fn known(&self, owner: Ident) -> BTreeSet<NodeRef> {
-        let mut known: BTreeSet<NodeRef> =
-            self.levels.keys().map(|&lvl| Self::node_ref(owner, lvl)).collect();
+    /// unmarked edges (paper §2.2). Identical for every sibling, so a rule
+    /// computes it once per peer per round.
+    pub fn known(&self, owner: Ident) -> RefSet {
+        let edges: usize = self.levels.values().map(|vs| vs.nu.len()).sum();
+        let mut known = Vec::with_capacity(self.levels.len() + edges);
+        known.extend(self.levels.keys().map(|&lvl| Self::node_ref(owner, lvl)));
         for vs in self.levels.values() {
-            known.extend(vs.nu.iter().copied());
+            known.extend_from_slice(vs.nu.as_slice());
         }
-        known
+        known.into_iter().collect()
     }
 
     /// The clockwise gap from `owner` to the nearest known real node other
@@ -126,8 +288,8 @@ impl PeerState {
     /// The paper's `m`: the level of the virtual node with the smallest
     /// distance to `u` such that no known real node lies strictly inside
     /// `(u, u + 1/2^m)` — equivalently the Chord finger condition
-    /// `1/2^m <= gap < 1/2^(m-1)` (DESIGN.md A1). A peer that knows no other
-    /// real node has `m = 1`.
+    /// `1/2^m <= gap < 1/2^(m-1)` (README, Interpretations A1). A peer that
+    /// knows no other real node has `m = 1`.
     pub fn compute_m(&self, owner: Ident) -> u8 {
         match self.closest_real_gap(owner) {
             Some(gap) => Ident::finger_level_for_gap(gap),
@@ -143,9 +305,7 @@ impl PeerState {
         for (&lvl, vs) in self.levels.iter_mut() {
             let me = Self::node_ref(owner, lvl);
             for kind in EdgeKind::ALL {
-                let set = vs.of_mut(kind);
-                set.remove(&me);
-                set.retain(|r| r.level <= MAX_LEVEL);
+                vs.of_mut(kind).retain(|r| *r != me && r.level <= MAX_LEVEL);
             }
             if vs.rl == Some(me) {
                 vs.rl = None;
@@ -200,6 +360,30 @@ mod tests {
 
     fn ident(x: f64) -> Ident {
         Ident::from_f64(x)
+    }
+
+    #[test]
+    fn debug_form_is_the_recorded_one() {
+        // Recorded from the build whose neighbourhoods were
+        // `BTreeSet<NodeRef>`; state digests hash this string.
+        let id = Ident::from_raw;
+        let mut st = PeerState::with_contacts([
+            NodeRef::real(id(0x8000_0000_0000_0000)),
+            NodeRef::virtual_node(id(0xf000_0000_0000_0000), 3),
+        ]);
+        st.levels.insert(2, VirtualState::default());
+        let vs = st.level_mut(2).unwrap();
+        vs.nr.insert(NodeRef::real(id(0x1000)));
+        vs.nc.insert(NodeRef::virtual_node(id(0x4000_0000_0000_0000), 1));
+        vs.nc.insert(NodeRef::real(id(0x2000_0000_0000_0000)));
+        vs.rl = Some(NodeRef::real(id(0x1000)));
+        assert_eq!(
+            format!("{st:?}"),
+            "PeerState { levels: {0: VirtualState { nu: {V[0.937500+2^-3 @0.062500], \
+             R[0.500000]}, nr: {}, nc: {}, rl: None, rr: None }, 2: VirtualState { nu: {}, \
+             nr: {R[0.000000]}, nc: {R[0.125000], V[0.250000+2^-1 @0.750000]}, \
+             rl: Some(R[0.000000]), rr: None }} }"
+        );
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Chord uses SHA-1 as the consistent-hashing function `h : U -> [0,1)`.
 //! The overlay only needs `h` to be a fixed pseudo-random uniform map, so we
-//! substitute a keyed SplitMix64 finalizer (see DESIGN.md §2): deterministic
-//! under a seed (required for reproducible experiments), uniform on `u64`,
-//! and free of external dependencies.
+//! substitute a keyed SplitMix64 finalizer (see README, Interpretations
+//! "Hashing"): deterministic under a seed (required for reproducible
+//! experiments), uniform on `u64`, and free of external dependencies.
 
 use crate::Ident;
 

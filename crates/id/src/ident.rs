@@ -10,7 +10,7 @@ pub const MAX_LEVEL: u8 = 64;
 ///
 /// `Ord`/`PartialOrd` are the paper's **linear** order on `[0,1)` (the
 /// protocol sorts nodes into a line and closes the wrap-around with ring
-/// edges; see DESIGN.md interpretation A2). Use [`Ident::dist_cw`] and
+/// edges; see README, Interpretations A2). Use [`Ident::dist_cw`] and
 /// [`Ident::in_open_arc`] for the cyclic notions.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -112,7 +112,7 @@ impl Ident {
 
     /// The finger level `m` for a clockwise gap of `gap` to the nearest known
     /// real node: the unique `i >= 1` with `1/2^i <= gap < 1/2^(i-1)`
-    /// (paper §1.1's finger condition; DESIGN.md interpretation A1).
+    /// (paper §1.1's finger condition; README, Interpretations A1).
     ///
     /// `gap == 0` (no other real node known: the "gap" is the full circle,
     /// which wraps to zero) yields `1`, matching Chord's single-node network

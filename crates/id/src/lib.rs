@@ -14,7 +14,8 @@
 //!
 //! The paper hashes peer addresses with SHA-1; we substitute a SplitMix64
 //! finalizer (uniform, deterministic, dependency-free — cryptographic
-//! strength is irrelevant to the overlay topology; see DESIGN.md §2).
+//! strength is irrelevant to the overlay topology; see README,
+//! Interpretations "Hashing").
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -13,7 +13,7 @@
 
 use crate::wire::{put_string, put_u32, put_u64, Reader, WireError};
 use rechord_core::msg::Msg;
-use rechord_core::state::{PeerState, VirtualState};
+use rechord_core::state::{PeerState, RefSet, VirtualState};
 use rechord_graph::{EdgeKind, NodeRef};
 use rechord_id::Ident;
 use std::collections::BTreeMap;
@@ -248,20 +248,16 @@ fn read_opt_node_ref(r: &mut Reader<'_>) -> Result<Option<NodeRef>, WireError> {
     }
 }
 
-fn put_ref_set(out: &mut Vec<u8>, set: &std::collections::BTreeSet<NodeRef>) {
+fn put_ref_set(out: &mut Vec<u8>, set: &RefSet) {
     put_u32(out, set.len() as u32);
     for &r in set {
         put_node_ref(out, r);
     }
 }
 
-fn read_ref_set(r: &mut Reader<'_>) -> Result<std::collections::BTreeSet<NodeRef>, WireError> {
+fn read_ref_set(r: &mut Reader<'_>) -> Result<RefSet, WireError> {
     let n = r.len(NODEREF_LEN)?;
-    let mut set = std::collections::BTreeSet::new();
-    for _ in 0..n {
-        set.insert(read_node_ref(r)?);
-    }
-    Ok(set)
+    (0..n).map(|_| read_node_ref(r)).collect()
 }
 
 fn put_edge_kind(out: &mut Vec<u8>, kind: EdgeKind) {

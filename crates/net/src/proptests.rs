@@ -36,7 +36,13 @@ fn virtual_state() -> impl Strategy<Value = VirtualState> {
         prop::option::of(node_ref()),
         prop::option::of(node_ref()),
     )
-        .prop_map(|(nu, nr, nc, rl, rr)| VirtualState { nu, nr, nc, rl, rr })
+        .prop_map(|(nu, nr, nc, rl, rr)| VirtualState {
+            nu: nu.into(),
+            nr: nr.into(),
+            nc: nc.into(),
+            rl,
+            rr,
+        })
 }
 
 fn peer_state() -> impl Strategy<Value = PeerState> {

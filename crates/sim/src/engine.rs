@@ -214,15 +214,19 @@ impl<P: SyncProtocol> Engine<P> {
         // messages, so unstable sorting cannot perturb outcomes.
         msgs.sort_unstable();
 
+        // Targets ascend, so one cursor walks the (sorted) id column.
         let mut delivered = 0usize;
         let mut dropped = 0usize;
+        let mut at = 0usize;
         for (to, msg) in &msgs {
-            match self.ids.binary_search(to) {
-                Ok(i) => {
-                    self.protocol.deliver(*to, &mut self.states[i], msg);
-                    delivered += 1;
-                }
-                Err(_) => dropped += 1,
+            while self.ids.get(at).is_some_and(|id| id < to) {
+                at += 1;
+            }
+            if self.ids.get(at) == Some(to) {
+                self.protocol.deliver(*to, &mut self.states[at], msg);
+                delivered += 1;
+            } else {
+                dropped += 1;
             }
         }
 

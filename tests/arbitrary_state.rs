@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use rechord::core::network::ReChordNetwork;
-use rechord::core::{PeerState, VirtualState};
+use rechord::core::{PeerState, RefSet, VirtualState};
 use rechord::graph::NodeRef;
 use rechord::id::Ident;
 
@@ -107,7 +107,7 @@ proptest! {
         let alive = net.real_ids()[7];
         let mut smashed = garbage.clone();
         for vs in smashed.levels.values_mut() {
-            let rewrite = |set: &std::collections::BTreeSet<NodeRef>| {
+            let rewrite = |set: &RefSet| {
                 set.iter().map(|r| NodeRef { owner: alive, level: r.level }).collect()
             };
             vs.nu = rewrite(&vs.nu);
