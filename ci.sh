@@ -85,6 +85,15 @@ if grep -qv '^{"pr":' perf/trajectory.jsonl; then
   exit 1
 fi
 
+# 3j. The cluster serving gate at sweep scale, in release mode: every
+#     random cluster the engine converges on must serve (n = 16 over seeds
+#     0..256, n = 64 over seeds 224..240), including clusters whose largest
+#     peer has no direct edge to the smallest. Then the benchmark's
+#     cluster-lockstep at seed 232; that seed has no fingerprint record, so
+#     the run checks its repetitions against each other and the oracle only.
+run cargo test --release -q --offline -p rechord_net --test serving_gate -- --ignored
+run bash benchmark/run.sh cluster-lockstep --seed 232 --smoke
+
 # 3h. The static-analysis gate: first prove the linter itself works (the
 #     fixture corpus must match its goldens and every rule must fire on
 #     the known-bad files), then lint the whole workspace — zero unwaived

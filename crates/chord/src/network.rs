@@ -2,7 +2,7 @@
 
 use crate::protocol::{snapshot_lookup, ChordProtocol};
 use crate::state::ChordState;
-use rechord_id::Ident;
+use rechord_id::{successor_index, Ident};
 use rechord_sim::{Engine, FixpointReport, RoundView};
 use rechord_topology::InitialTopology;
 use std::collections::{BTreeMap, BTreeSet};
@@ -112,7 +112,7 @@ impl ChordNetwork {
         let mut ok = 0usize;
         let mut total = 0usize;
         for &key in keys {
-            let responsible = cyclic_successor(&ids, key);
+            let responsible = ids[successor_index(&ids, key).expect("ids is non-empty")];
             for &src in &ids {
                 total += 1;
                 if snapshot_lookup(&view, src, key) == Some(responsible) {
@@ -140,15 +140,6 @@ impl ChordNetwork {
     /// Read access to the engine.
     pub fn engine(&self) -> &Engine<ChordProtocol> {
         &self.engine
-    }
-}
-
-/// First identifier at or clockwise-after `key`.
-fn cyclic_successor(sorted_ids: &[Ident], key: Ident) -> Ident {
-    match sorted_ids.binary_search(&key) {
-        Ok(i) => sorted_ids[i],
-        Err(i) if i < sorted_ids.len() => sorted_ids[i],
-        Err(_) => sorted_ids[0],
     }
 }
 

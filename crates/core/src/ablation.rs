@@ -18,8 +18,6 @@
 //! Rule 1 (virtual nodes) cannot be ablated: without it there is no node
 //! set to maintain.
 
-use crate::state::PeerState;
-
 /// Which rules run. Rule 1 is always on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RuleMask {
@@ -132,11 +130,6 @@ pub fn run_ablated(
         ring_pair_present: audit.ring_pair_present,
     };
     (outcome, net)
-}
-
-/// Reusable default-state helper for tests.
-pub fn fresh_peer() -> PeerState {
-    PeerState::new()
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! Chord edge set for the Fact 2.1 subgraph check.
 
 use rechord_graph::{Edge, NodeRef, OverlayGraph};
-use rechord_id::Ident;
+use rechord_id::{successor_index, Ident};
 use std::collections::BTreeMap;
 
 /// The stable-state virtual level count `m` of each peer: the finger level
@@ -152,13 +152,9 @@ pub fn chord_edges(real_ids: &[Ident]) -> Vec<ChordEdge> {
 }
 
 /// The first identifier at or clockwise-after `point` (cyclic successor).
+/// Panics on an empty slice.
 pub fn cyclic_successor(sorted_ids: &[Ident], point: Ident) -> Ident {
-    debug_assert!(!sorted_ids.is_empty());
-    match sorted_ids.binary_search(&point) {
-        Ok(i) => sorted_ids[i],
-        Err(i) if i < sorted_ids.len() => sorted_ids[i],
-        Err(_) => sorted_ids[0],
-    }
+    sorted_ids[successor_index(sorted_ids, point).expect("cyclic successor of an empty ring")]
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //!    remain.
 
 use crate::oracle;
-use rechord_graph::{connectivity, Edge, EdgeKind, NodeRef, OverlayGraph};
+use rechord_graph::{connectivity, Edge, EdgeKind, OverlayGraph};
 use rechord_id::Ident;
 
 /// Which phase predicates currently hold.
@@ -141,11 +141,6 @@ pub fn run_with_timeline(
         }
     }
     timeline
-}
-
-/// A node-ref helper used by tests.
-pub fn real_ref(id: Ident) -> NodeRef {
-    NodeRef::real(id)
 }
 
 #[cfg(test)]

@@ -126,8 +126,7 @@ pub struct ChordCoverage {
     /// Missing Chord edges whose realizing virtual node sits in the final
     /// segment of the ring (wrap-around fingers/successors). The audit
     /// takes them as closed through the ring-edge chain (README,
-    /// Interpretations "Wrap edges"); whether that suffices is ROADMAP
-    /// item 1's open question.
+    /// Interpretations "Wrap edges").
     pub missing_wrap: Vec<(Ident, Ident)>,
 }
 
@@ -148,8 +147,7 @@ impl ChordCoverage {
 /// boundary in its natural direction (see
 /// [`crate::oracle::ChordEdge::crosses_wrap`]) — those are the edges the
 /// audit takes as closed through the ring-edge chain rather than through a
-/// direct unmarked edge (README, Interpretations "Wrap edges"; open as
-/// ROADMAP item 1).
+/// direct unmarked edge (README, Interpretations "Wrap edges").
 pub fn chord_coverage(projection: &Projection, real_ids: &[Ident]) -> ChordCoverage {
     let chord = crate::oracle::chord_edges(real_ids);
     let mut cov = ChordCoverage {

@@ -42,8 +42,7 @@ impl StableStateAudit {
     /// The reproduction's acceptance predicate for a stable state: all
     /// desired structure present, no spurious unmarked edges, connectivity
     /// intact, and every non-wrap Chord edge realized (wrap edges are
-    /// exempt: README, Interpretations "Wrap edges"; whether they must be
-    /// direct edges is ROADMAP item 1's open question).
+    /// exempt: README, Interpretations "Wrap edges").
     pub fn is_clean(&self) -> bool {
         self.missing_unmarked.is_empty()
             && self.extra_unmarked.is_empty()

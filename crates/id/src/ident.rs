@@ -17,8 +17,6 @@ pub const MAX_LEVEL: u8 = 64;
 pub struct Ident(pub u64);
 
 impl Ident {
-    /// The smallest position, `0.0`.
-    pub const ZERO: Ident = Ident(0);
     /// The largest representable position, `1 - 2^-64`.
     pub const MAX: Ident = Ident(u64::MAX);
 
@@ -132,6 +130,29 @@ impl Ident {
     pub fn midpoint_cw(self, to: Ident) -> Ident {
         Ident(self.0.wrapping_add(self.dist_cw(to) / 2))
     }
+}
+
+/// Consistent hashing's ownership rule (paper §1.1, Fact 2.1): the index of
+/// the first identifier at or clockwise after `point` in the ascending slice
+/// `sorted`, wrapping past the largest to the smallest. `None` iff the slice
+/// is empty.
+///
+/// ```
+/// use rechord_id::{successor_index, Ident};
+///
+/// let peers = [10, 20, 30].map(Ident::from_raw);
+/// assert_eq!(successor_index(&peers, Ident::from_raw(20)), Some(1));
+/// assert_eq!(successor_index(&peers, Ident::from_raw(21)), Some(2));
+/// assert_eq!(successor_index(&peers, Ident::from_raw(31)), Some(0));
+/// assert_eq!(successor_index(&[], Ident::from_raw(5)), None);
+/// ```
+#[inline]
+pub fn successor_index(sorted: &[Ident], point: Ident) -> Option<usize> {
+    if sorted.is_empty() {
+        return None;
+    }
+    let i = sorted.binary_search(&point).unwrap_or_else(|i| i);
+    Some(if i == sorted.len() { 0 } else { i })
 }
 
 /// The fixed-point length of `1/2^level`, for `level` in `1..=64`.

@@ -1,7 +1,7 @@
 //! Property-based tests for the identifier ring algebra.
 
 use crate::ident::level_span;
-use crate::{hash_address, Ident, RingArc, MAX_LEVEL};
+use crate::{hash_address, successor_index, Ident, RingArc, MAX_LEVEL};
 use proptest::prelude::*;
 
 fn idents() -> impl Strategy<Value = Ident> {
@@ -69,6 +69,24 @@ proptest! {
         let um = u.virtual_position(m);
         prop_assert!(RingArc::new(u, succ).contains_half_open(um),
             "u={u:?} gap={gap} m={m} um={um:?} succ={succ:?}");
+    }
+
+    /// The ring rule picks the identifier at the least clockwise distance
+    /// from the point (a linear scan over the ring, the rule's definition).
+    #[test]
+    fn successor_index_is_nearest_clockwise(
+        set in prop::collection::btree_set(any::<u64>(), 0..24usize),
+        point in idents(),
+        hit in any::<bool>(),
+    ) {
+        let sorted: Vec<Ident> = set.into_iter().map(Ident::from_raw).collect();
+        // Half the cases query an identifier itself, which is its own successor.
+        let point = match sorted.first() {
+            Some(&first) if hit => first,
+            _ => point,
+        };
+        let scan = (0..sorted.len()).min_by_key(|&i| point.dist_cw(sorted[i]));
+        prop_assert_eq!(successor_index(&sorted, point), scan);
     }
 
     /// Hashing is deterministic and seed-sensitive.

@@ -203,11 +203,6 @@ impl<T: Transport> ClusterClient<T> {
         self.submit(RpcOp::Put, key, value.into())
     }
 
-    /// Pipelined lookup; see [`ClusterClient::submit_get`].
-    pub fn submit_lookup(&mut self, key: u64) -> Result<Vec<RpcResult>, NetError> {
-        self.submit(RpcOp::Lookup, key, String::new())
-    }
-
     /// Waits for every in-flight request and returns their results in
     /// issue order.
     pub fn drain(&mut self) -> Result<Vec<RpcResult>, NetError> {

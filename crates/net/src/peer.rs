@@ -6,32 +6,37 @@
 //! 1. **Stabilize** — run protocol rounds through [`RoundSync`] until the
 //!    global fixpoint, reproducing the direct-call engine bit for bit.
 //! 2. **Gossip** — broadcast the successor list read out of the converged
-//!    state and cross-check every peer's list against the shared roster.
-//!    Only when all lists verify does the peer flip to `serving`; a
-//!    stabilization that produced a wrong ring would be caught here, so
-//!    the gossip is load-bearing, not decorative.
+//!    state: the known real peers, nearest clockwise first. Each receiver
+//!    checks the list against the ring the core defines over the shared
+//!    roster, the ring that placement also uses: the head must be the
+//!    sender's roster successor. The one exception is the roster maximum,
+//!    whose successor edge crosses 0/1. The stable topology closes that
+//!    edge through the ring edge between the extreme *nodes*, which may be
+//!    virtual, so the maximum need not know the minimum directly (README,
+//!    Interpretations "Wrap edges"). The peer flips to `serving` only when
+//!    its own list and every peer's list verify. A stabilization that
+//!    produced a wrong ring is caught here, so the gossip is load-bearing,
+//!    not decorative.
 //! 3. **Serve** — answer get/put/lookup RPCs with recursive greedy
-//!    routing: each hop is one [`route_step`] against the peer's *local*
-//!    routing view ([`RoutingTable::local_view`]), forwarded peer to peer
-//!    until the responsible peer replies straight to the client. The hop
-//!    and probe accounting mirrors [`rechord_routing::KvStore`] exactly,
-//!    which `tests/process_cluster.rs` pins (`TCP ≡ in-mem ≡ direct-call
+//!    routing: each peer [`walk`]s the request through its free local steps
+//!    against its *local* routing view ([`RoutingTable::local_view`]) and
+//!    forwards it, peer to peer, until the responsible peer replies
+//!    straight to the client. The hop and probe accounting mirrors
+//!    [`rechord_routing::KvStore`] exactly, which
+//!    `tests/process_cluster.rs` pins (`TCP ≡ in-mem ≡ direct-call
 //!    oracle`).
 
 use crate::message::{ForwardedRpc, NetMsg, RpcOp};
 use crate::sync::{RoundSync, StepOutcome};
 use crate::transport::{NetError, Transport};
+use rechord_core::oracle::{ChordEdge, ChordEdgeKind};
 use rechord_core::protocol::ReChordProtocol;
 use rechord_core::state::PeerState;
 use rechord_graph::NodeRef;
-use rechord_id::{IdSpace, Ident};
-use rechord_routing::{route_step, HopDecision, RoutingTable};
+use rechord_id::{successor_index, IdSpace, Ident};
+use rechord_routing::{walk, RoutingTable, Walk};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
-
-/// Route-step budget per RPC, carried across forwards — the same `2 * 64`
-/// bound [`rechord_routing::route`] applies to its internal fold.
-const ROUTE_STEP_BUDGET: u32 = 2 * 64;
 
 /// Successor-list length gossiped after stabilization.
 const GOSSIP_SUCCESSORS: usize = 3;
@@ -173,20 +178,28 @@ impl<T: Transport> NodePeer<T> {
         self.sync.roster().iter().copied().filter(|&p| p != self.cfg.me).collect()
     }
 
-    /// This peer's roster successor (cyclic). `None` for a singleton.
-    fn roster_successor_of(&self, peer: Ident) -> Option<Ident> {
+    /// Does `peer`'s successor list agree with the ring the core defines?
+    /// Its head must be `peer`'s roster successor, except on the one
+    /// successor edge that crosses 0/1, the roster maximum's: the stable
+    /// topology closes that edge through the ring edge between the extreme
+    /// nodes, which may be virtual, so the maximum need not know the
+    /// minimum directly (README, Interpretations "Wrap edges";
+    /// `StableStateAudit::is_clean` exempts the same edge).
+    fn successors_agree(&self, peer: Ident, successors: &[Ident]) -> bool {
         let roster = self.sync.roster();
         if roster.len() < 2 {
-            return None;
+            return true;
         }
-        let i = roster.binary_search(&peer).ok()?;
-        Some(roster[(i + 1) % roster.len()])
+        let after = Ident::from_raw(peer.raw().wrapping_add(1));
+        let succ = roster[successor_index(roster, after).expect("the roster is non-empty")];
+        ChordEdge { from: peer, to: succ, kind: ChordEdgeKind::Successor }.crosses_wrap()
+            || successors.first() == Some(&succ)
     }
 
     /// Successor list read out of the local protocol state: known real
     /// nodes ordered by clockwise distance. In a correctly stabilized
-    /// state, the head is the roster successor — which every receiver
-    /// checks.
+    /// state, the head is the roster successor (bar the wrap edge) — which
+    /// every receiver checks.
     fn successor_list(&self) -> Vec<Ident> {
         let me = self.cfg.me;
         let mut reals: Vec<Ident> = self
@@ -201,24 +214,6 @@ impl<T: Transport> NodePeer<T> {
         reals.dedup();
         reals.truncate(GOSSIP_SUCCESSORS);
         reals
-    }
-
-    /// The replica set for a ring position, mirroring
-    /// `PlacementMap::replica_set`: the cyclic successor of `pos` in the
-    /// roster plus the following `replication - 1` peers, clamped.
-    fn replica_set(&self, pos: Ident) -> Vec<Ident> {
-        let roster = self.sync.roster();
-        let n = roster.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let start = match roster.binary_search(&pos) {
-            Ok(i) => i,
-            Err(i) if i < n => i,
-            Err(_) => 0,
-        };
-        let r = self.cfg.replication.max(1).min(n);
-        (0..r).map(|k| roster[(start + k) % n]).collect()
     }
 
     /// Drives the BSP state machine: announces when a cycle opens, steps
@@ -275,10 +270,7 @@ impl<T: Transport> NodePeer<T> {
         if self.sync.converged().is_none() {
             return;
         }
-        let own_ok = match self.roster_successor_of(self.cfg.me) {
-            None => true, // singleton cluster
-            Some(succ) => self.successor_list().first() == Some(&succ),
-        };
+        let own_ok = self.successors_agree(self.cfg.me, &self.successor_list());
         let all_gossip = self.gossip_ok.len() == self.others().len();
         self.serving = own_ok && all_gossip;
     }
@@ -295,11 +287,9 @@ impl<T: Transport> NodePeer<T> {
                 self.sync.on_msgs(from, round, msgs).map_err(|e| NetError::Io(e.to_string()))?;
             }
             NetMsg::GossipSuccessors { successors } => {
-                // Load-bearing check: the gossiped head must be the
-                // sender's roster successor, or the overlay ring and the
-                // placement ring disagree and serving would corrupt data.
-                let expect = self.roster_successor_of(from);
-                if expect.is_none() || successors.first() == expect.as_ref() {
+                // Load-bearing check: if the overlay ring and the placement
+                // ring disagree, serving would corrupt data.
+                if self.successors_agree(from, &successors) {
                     self.gossip_ok.insert(from);
                 } else {
                     self.gossip_ok.remove(&from);
@@ -375,10 +365,10 @@ impl<T: Transport> NodePeer<T> {
         self.advance_rpc(fwd)
     }
 
-    /// Runs [`route_step`] against the local view until the request either
-    /// arrives here (serve + reply), moves to another peer (forward), gets
-    /// stuck, or exhausts the shared step budget — the distributed replay
-    /// of `route`'s fold, decision for decision.
+    /// [`walk`]s the local view until the request either arrives here
+    /// (serve + reply), moves to another peer (forward), gets stuck, or
+    /// exhausts the step budget it carries across forwards — the
+    /// distributed replay of `route`, decision for decision.
     fn advance_rpc(&mut self, mut fwd: ForwardedRpc) -> Result<(), NetError> {
         let Some(table) = self.table.as_ref() else {
             // Not yet stabilized: refuse rather than route on a half-built
@@ -387,30 +377,25 @@ impl<T: Transport> NodePeer<T> {
             return self.reply(fwd, false, None);
         };
         let pos = self.space.key_position(fwd.key);
-        loop {
-            if fwd.steps >= ROUTE_STEP_BUDGET {
-                return self.reply(fwd, false, None);
+        match walk(table, self.cfg.me, &mut fwd.cursor, pos, Some(&mut fwd.steps)) {
+            Walk::Arrived => self.serve(fwd, pos),
+            Walk::Forward { peer, cursor } => {
+                fwd.cursor = cursor;
+                fwd.hops += 1;
+                self.transport.send_corked(peer, NetMsg::Forward(Box::new(fwd)))
             }
-            match route_step(table, self.cfg.me, fwd.cursor, pos) {
-                HopDecision::Arrived => return self.serve(fwd, pos),
-                HopDecision::Next { peer, cursor } => {
-                    fwd.steps += 1;
-                    fwd.cursor = cursor;
-                    if peer != self.cfg.me {
-                        fwd.hops += 1;
-                        return self.transport.send_corked(peer, NetMsg::Forward(Box::new(fwd)));
-                    }
-                    // else: a free local step through our own virtual nodes
-                }
-                HopDecision::Stuck => return self.reply(fwd, false, None),
-            }
+            Walk::Stuck | Walk::OutOfSteps => self.reply(fwd, false, None),
         }
     }
 
     /// The responsible peer answers: store access plus the probe-hop
-    /// accounting of `KvStore::{get, put}`.
+    /// accounting of `KvStore::{get, put}`. The replica set is
+    /// `PlacementMap::replica_set` over the roster: the responsible peer
+    /// (this one) and the next `replication - 1` peers, clamped.
     fn serve(&mut self, mut fwd: ForwardedRpc, pos: Ident) -> Result<(), NetError> {
         self.served += 1;
+        let roster = self.sync.roster();
+        let replicas = self.cfg.replication.max(1).min(roster.len());
         match fwd.op {
             RpcOp::Lookup => {
                 let f = fwd;
@@ -421,9 +406,10 @@ impl<T: Transport> NodePeer<T> {
                 if newer {
                     self.store.insert(fwd.key, (fwd.version, fwd.value.clone()));
                 }
-                for replica in self.replica_set(pos).into_iter().skip(1) {
+                let start = successor_index(roster, pos).expect("the roster is non-empty");
+                for k in 1..replicas {
                     self.transport.send_corked(
-                        replica,
+                        roster[(start + k) % roster.len()],
                         NetMsg::ReplicaPut {
                             pos,
                             key: fwd.key,
@@ -443,7 +429,7 @@ impl<T: Transport> NodePeer<T> {
                 }
                 // Absent: the oracle charges the whole replica window.
                 None => {
-                    fwd.hops += self.replica_set(pos).len() as u32;
+                    fwd.hops += replicas as u32;
                     self.reply(fwd, true, None)
                 }
             },

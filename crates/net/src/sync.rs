@@ -44,7 +44,8 @@ use std::fmt;
 /// match the engine's per-round delivered/dropped counts).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NetRoundStats {
-    /// 1-based round number, matching `Engine::round_number` after the round.
+    /// 1-based round number: the engine has run this many rounds once the
+    /// round completes.
     pub round: u64,
     /// Messages this node delivered to itself at the round boundary.
     pub delivered: usize,

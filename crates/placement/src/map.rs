@@ -1,7 +1,7 @@
 //! The [`PlacementMap`] itself: arc-sharded records, topology deltas, and
 //! the incremental repair pass.
 
-use rechord_id::Ident;
+use rechord_id::{successor_index, Ident};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How a peer left the network — decides what happens to its copies.
@@ -240,22 +240,10 @@ impl<V> PlacementMap<V> {
         self.shards.values().flat_map(|s| s.keys().map(|&(_, k)| k))
     }
 
-    /// Index of the peer owning position `pos` (its cyclic successor).
-    fn succ_index(&self, pos: Ident) -> Option<usize> {
-        if self.peers.is_empty() {
-            return None;
-        }
-        Some(match self.peers.binary_search(&pos) {
-            Ok(i) => i,
-            Err(i) if i < self.peers.len() => i,
-            Err(_) => 0,
-        })
-    }
-
     /// The peer responsible for ring position `pos` — its cyclic successor
     /// among the current peers (consistent hashing, paper §1.1).
     pub fn primary_for(&self, pos: Ident) -> Option<Ident> {
-        self.succ_index(pos).map(|i| self.peers[i])
+        successor_index(&self.peers, pos).map(|i| self.peers[i])
     }
 
     /// The responsible peer plus its `replication − 1` cyclic successors
@@ -264,7 +252,7 @@ impl<V> PlacementMap<V> {
     /// This is the **one** replica-set computation in the workspace; the
     /// DHT (`KvStore`) and the workload simulator both delegate here.
     pub fn replica_set(&self, pos: Ident) -> Vec<Ident> {
-        let Some(start) = self.succ_index(pos) else {
+        let Some(start) = successor_index(&self.peers, pos) else {
             return Vec::new();
         };
         let n = self.peers.len();
@@ -302,7 +290,7 @@ impl<V> PlacementMap<V> {
     /// chase them). Returns the replica count the write reached (0 with no
     /// peers — nothing is stored).
     pub fn put(&mut self, pos: Ident, key: u64, version: u64, value: V) -> usize {
-        let Some(start) = self.succ_index(pos) else {
+        let Some(start) = successor_index(&self.peers, pos) else {
             return 0;
         };
         let n = self.peers.len();
@@ -338,7 +326,7 @@ impl<V> PlacementMap<V> {
     /// Probes `key`'s current replica set in order, as a get does: the hit
     /// index is the number of extra successor hops the read cost.
     pub fn lookup(&self, pos: Ident, key: u64) -> Probe<'_, V> {
-        let Some(start) = self.succ_index(pos) else {
+        let Some(start) = successor_index(&self.peers, pos) else {
             return Probe { replicas: 0, hit: None };
         };
         let n = self.peers.len();
@@ -426,14 +414,10 @@ impl<V> PlacementMap<V> {
     /// population changes at `anchor`: the arc owning `anchor`'s position
     /// plus the `replication − 1` preceding arcs.
     fn mark_dirty_around(&mut self, anchor: Ident) {
-        let n = self.peers.len();
-        if n == 0 {
+        let Some(i) = successor_index(&self.peers, anchor) else {
             return;
-        }
-        let i = match self.peers.binary_search(&anchor) {
-            Ok(i) => i,
-            Err(i) => i % n,
         };
+        let n = self.peers.len();
         self.dirty.insert(self.peers[i]);
         for k in 1..=(self.replication - 1).min(n - 1) {
             self.dirty.insert(self.peers[(i + n - k) % n]);
@@ -658,7 +642,7 @@ impl<V> PlacementMap<V> {
         let mut rows: Vec<(usize, ShardKey, u64, V)> = entries
             .into_iter()
             .map(|(pos, key, version, value)| {
-                let start = self.succ_index(pos).expect("peers nonempty");
+                let start = successor_index(&self.peers, pos).expect("peers nonempty");
                 (start, (pos, key), version, value)
             })
             .collect();

@@ -16,7 +16,7 @@
 
 use rechord_core::state::PeerState;
 use rechord_graph::{EdgeKind, NodeRef, OverlayGraph};
-use rechord_id::Ident;
+use rechord_id::{successor_index, Ident};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A routing view: every peer's node-level knowledge (all unmarked and ring
@@ -62,14 +62,7 @@ impl RoutingTable {
     /// The peer responsible for `key`: its cyclic successor among the real
     /// peers (consistent hashing, paper §1.1).
     pub fn responsible_for(&self, key: Ident) -> Option<Ident> {
-        if self.peers.is_empty() {
-            return None;
-        }
-        Some(match self.peers.binary_search(&key) {
-            Ok(i) => self.peers[i],
-            Err(i) if i < self.peers.len() => self.peers[i],
-            Err(_) => self.peers[0],
-        })
+        successor_index(&self.peers, key).map(|i| self.peers[i])
     }
 
     /// The node-level knowledge of one peer.
@@ -219,9 +212,10 @@ pub enum HopDecision {
 /// One step of the greedy route: the decision the peer `peer` makes for a
 /// request whose monotone cursor has reached `cursor`, bound for `key`.
 ///
-/// [`route`] folds this over a frozen table; a discrete-event workload
-/// re-evaluates it hop by hop against the *live* table, so requests issued
-/// mid-stabilization see knowledge exactly as it evolves.
+/// Callers go through [`walk`]. [`route`] folds it over a frozen table; a
+/// discrete-event workload re-evaluates it hop by hop against the *live*
+/// table, so requests issued mid-stabilization see knowledge exactly as it
+/// evolves.
 pub fn route_step(table: &RoutingTable, peer: Ident, cursor: Ident, key: Ident) -> HopDecision {
     let Some(responsible) = table.responsible_for(key) else {
         return HopDecision::Stuck;
@@ -262,30 +256,83 @@ pub fn route_step(table: &RoutingTable, peer: Ident, cursor: Ident, key: Ident) 
     }
 }
 
-/// Routes from peer `from` toward the peer responsible for `key` (see
-/// module docs for the algorithm).
-pub fn route(table: &RoutingTable, from: Ident, key: Ident) -> RouteResult {
-    let mut path = vec![from];
-    let mut peer = from;
-    let mut cursor: Ident = from; // position reached so far, closing on key
+/// Route steps (`Next` decisions, local and network alike) one request may
+/// take. The cursor is strictly monotone, and with finger structure each hop
+/// at least halves the remaining arc; 2·64 bounds the stable case, the rest
+/// guards broken topologies.
+const ROUTE_STEP_BUDGET: u32 = 2 * 64;
 
-    // Step budget: the cursor position is strictly monotone, and with finger
-    // structure each hop at least halves the remaining arc; 2·64 bounds the
-    // stable case, the rest guards broken topologies.
-    for _ in 0..(2 * 64) {
-        match route_step(table, peer, cursor, key) {
-            HopDecision::Arrived => return RouteResult { success: true, path },
-            HopDecision::Next { peer: p, cursor: c } => {
-                cursor = c;
-                if p != peer {
-                    peer = p;
-                    path.push(p);
+/// Where a [`walk`] stopped.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Walk {
+    /// The walking peer is responsible for the key.
+    Arrived,
+    /// The route leaves the walking peer for another one.
+    Forward {
+        /// The next peer.
+        peer: Ident,
+        /// The cursor the greedy hop carries (the caller's cursor is not
+        /// advanced to it).
+        cursor: Ident,
+    },
+    /// [`route_step`] found no way forward.
+    Stuck,
+    /// The caller's step counter reached the budget of 2·64 steps.
+    OutOfSteps,
+}
+
+/// Repeats [`route_step`] at `peer` through its free local steps (moves
+/// between its own simulated nodes) until the request arrives, moves to
+/// another peer, gets stuck, or uses up the caller's step counter. Every
+/// `Next` decision counts one step, the network hop included; a caller
+/// without a budget passes `None`. `cursor` is left where the local steps
+/// put it, so the caller decides what a forward carries.
+///
+/// This is the one loop over [`route_step`]: [`route`] folds it over a
+/// frozen table, and a distributed or discrete-event request driver calls
+/// it once per peer the request visits.
+pub fn walk(
+    table: &RoutingTable,
+    peer: Ident,
+    cursor: &mut Ident,
+    key: Ident,
+    mut steps: Option<&mut u32>,
+) -> Walk {
+    loop {
+        if steps.as_deref().is_some_and(|&s| s >= ROUTE_STEP_BUDGET) {
+            return Walk::OutOfSteps;
+        }
+        match route_step(table, peer, *cursor, key) {
+            HopDecision::Arrived => return Walk::Arrived,
+            HopDecision::Next { peer: next, cursor: c } => {
+                if let Some(s) = steps.as_deref_mut() {
+                    *s += 1;
                 }
+                if next != peer {
+                    return Walk::Forward { peer: next, cursor: c };
+                }
+                *cursor = c;
             }
-            HopDecision::Stuck => return RouteResult { success: false, path },
+            HopDecision::Stuck => return Walk::Stuck,
         }
     }
-    RouteResult { success: false, path }
+}
+
+/// Routes from peer `from` toward the peer responsible for `key` (see
+/// module docs for the algorithm), within 2·64 route steps.
+pub fn route(table: &RoutingTable, from: Ident, key: Ident) -> RouteResult {
+    let mut path = vec![from];
+    let (mut peer, mut cursor, mut steps) = (from, from, 0);
+    loop {
+        match walk(table, peer, &mut cursor, key, Some(&mut steps)) {
+            Walk::Arrived => return RouteResult { success: true, path },
+            Walk::Forward { peer: next, cursor: c } => {
+                (peer, cursor) = (next, c);
+                path.push(next);
+            }
+            Walk::Stuck | Walk::OutOfSteps => return RouteResult { success: false, path },
+        }
+    }
 }
 
 #[cfg(test)]

@@ -7,8 +7,10 @@
 //! * [`route`] — greedy Chord routing over the projected peer overlay
 //!   (§1.1's binary-search path: always hop to the neighbor that gets
 //!   closest to the key without overshooting), `O(log n)` hops w.h.p.;
-//! * [`route_step`] — the same algorithm one hop at a time, for
-//!   discrete-event workloads that re-read the live overlay between hops;
+//! * [`route_step`] — the same algorithm one decision at a time, and
+//!   [`walk`] — the one loop over it, through a peer's free local steps up
+//!   to its next network hop, for request drivers that re-read the live
+//!   overlay (or a peer's own view) between hops;
 //! * [`KvStore`] — consistent-hashing key-value storage where the key's
 //!   cyclic successor peer is responsible, with puts/gets resolved by
 //!   routing and placement delegated to the shared
@@ -22,7 +24,7 @@ mod dht;
 mod greedy;
 
 pub use dht::{KvStore, LookupOutcome};
-pub use greedy::{route, route_step, HopDecision, RouteResult, RoutingTable};
+pub use greedy::{route, route_step, walk, HopDecision, RouteResult, RoutingTable, Walk};
 
 #[cfg(test)]
 mod proptests;

@@ -1,6 +1,6 @@
 //! The deterministic synchronous round engine.
 
-use crate::report::{FixpointReport, RoundStats, Trace};
+use crate::report::FixpointReport;
 use crate::{Outbox, SyncProtocol};
 use rechord_id::Ident;
 
@@ -67,7 +67,6 @@ pub struct Engine<P: SyncProtocol> {
     protocol: P,
     ids: Vec<Ident>,
     states: Vec<P::State>,
-    round: u64,
 }
 
 impl<P: SyncProtocol> Engine<P> {
@@ -76,7 +75,7 @@ impl<P: SyncProtocol> Engine<P> {
     /// parameter survives only because `benchmark/` passes one through the
     /// network constructors.
     pub fn new(protocol: P, _threads: usize) -> Self {
-        Engine { protocol, ids: Vec::new(), states: Vec::new(), round: 0 }
+        Engine { protocol, ids: Vec::new(), states: Vec::new() }
     }
 
     /// The protocol instance.
@@ -153,11 +152,6 @@ impl<P: SyncProtocol> Engine<P> {
         self.ids.is_empty()
     }
 
-    /// Rounds executed so far.
-    pub fn round_number(&self) -> u64 {
-        self.round
-    }
-
     /// Executes one synchronous round: snapshot, per-node step, sorted
     /// message merge, delivery.
     pub fn round(&mut self) -> RoundOutcome {
@@ -230,7 +224,6 @@ impl<P: SyncProtocol> Engine<P> {
             }
         }
 
-        self.round += 1;
         (prev, delivered, dropped)
     }
 
@@ -246,44 +239,6 @@ impl<P: SyncProtocol> Engine<P> {
             }
         }
         FixpointReport { rounds: max_rounds, converged: false, total_messages }
-    }
-
-    /// Like [`Engine::run_until_fixpoint`], but invokes `probe` on the engine
-    /// after every round and records per-round statistics. `probe` returning
-    /// `true` marks the round in the trace (e.g. "almost-stable reached").
-    pub fn run_traced(
-        &mut self,
-        max_rounds: u64,
-        mut probe: impl FnMut(&Self) -> bool,
-    ) -> (FixpointReport, Trace) {
-        let mut trace = Trace::default();
-        let mut total_messages = 0usize;
-        for r in 0..max_rounds {
-            let out = self.round();
-            total_messages += out.delivered + out.dropped;
-            let marked = probe(self);
-            trace.rounds.push(RoundStats {
-                round: self.round,
-                delivered: out.delivered,
-                dropped: out.dropped,
-                changed: out.changed,
-                marked,
-            });
-            if !out.changed {
-                return (FixpointReport { rounds: r + 1, converged: true, total_messages }, trace);
-            }
-        }
-        (FixpointReport { rounds: max_rounds, converged: false, total_messages }, trace)
-    }
-
-    /// Runs exactly `k` rounds (no fixpoint check), returning the outcome of
-    /// the last one.
-    pub fn run_rounds(&mut self, k: u64) -> Option<RoundOutcome> {
-        let mut last = None;
-        for _ in 0..k {
-            last = Some(self.round());
-        }
-        last
     }
 
     /// Evaluates the scheduled nodes' steps against `prev`, in identifier
@@ -435,16 +390,6 @@ mod tests {
         assert!(report.converged);
         assert_eq!(report.rounds, 2);
         assert_eq!(report.total_messages, 2 * (1 + 1), "delivered and dropped both count");
-    }
-
-    #[test]
-    fn traced_run_records_rounds() {
-        let mut e = engine_with(8);
-        let (report, trace) = e.run_traced(1000, |_| true);
-        assert!(report.converged);
-        assert_eq!(trace.rounds.len() as u64, report.rounds);
-        assert!(trace.rounds.iter().all(|r| r.marked));
-        assert!(!trace.rounds.last().unwrap().changed);
     }
 
     #[test]

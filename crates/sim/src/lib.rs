@@ -29,7 +29,7 @@ mod report;
 
 pub use engine::{Engine, RoundOutcome, RoundView};
 pub use outbox::Outbox;
-pub use report::{FixpointReport, RoundStats, Trace};
+pub use report::FixpointReport;
 
 use rechord_id::Ident;
 

@@ -1,4 +1,4 @@
-//! Run reports and per-round traces.
+//! Run reports.
 
 /// Result of driving an engine toward a fixpoint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -19,67 +19,9 @@ impl FixpointReport {
     }
 }
 
-/// Statistics for one executed round.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RoundStats {
-    /// 1-based round number.
-    pub round: u64,
-    /// Messages delivered at the round boundary.
-    pub delivered: usize,
-    /// Messages dropped (target peer gone).
-    pub dropped: usize,
-    /// Did the global state change?
-    pub changed: bool,
-    /// Result of the caller's probe (e.g. "almost-stable reached").
-    pub marked: bool,
-}
-
-/// Per-round history of a traced run.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Trace {
-    /// One entry per executed round, in order.
-    pub rounds: Vec<RoundStats>,
-}
-
-impl Trace {
-    /// First round (1-based) whose probe returned `true`, if any. With the
-    /// almost-stable probe this is Figure 6's "rounds to almost stable".
-    pub fn first_marked_round(&self) -> Option<u64> {
-        self.rounds.iter().find(|r| r.marked).map(|r| r.round)
-    }
-
-    /// Total messages over the trace.
-    pub fn total_messages(&self) -> usize {
-        self.rounds.iter().map(|r| r.delivered + r.dropped).sum()
-    }
-
-    /// Peak per-round message volume.
-    pub fn peak_messages(&self) -> usize {
-        self.rounds.iter().map(|r| r.delivered + r.dropped).max().unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn stats(round: u64, delivered: usize, marked: bool) -> RoundStats {
-        RoundStats { round, delivered, dropped: 0, changed: true, marked }
-    }
-
-    #[test]
-    fn first_marked_round_found() {
-        let t = Trace { rounds: vec![stats(1, 5, false), stats(2, 3, true), stats(3, 1, true)] };
-        assert_eq!(t.first_marked_round(), Some(2));
-        assert_eq!(t.total_messages(), 9);
-        assert_eq!(t.peak_messages(), 5);
-    }
-
-    #[test]
-    fn unmarked_trace_has_no_marked_round() {
-        let t = Trace { rounds: vec![stats(1, 0, false)] };
-        assert_eq!(t.first_marked_round(), None);
-    }
 
     #[test]
     fn rounds_to_stable_excludes_confirming_round() {

@@ -1,9 +1,6 @@
 //! Per-link latency models — how many virtual ticks one overlay hop takes —
 //! and per-peer service capacity (queueing delay at a loaded peer).
 
-use rand::distributions::{Distribution, Exp};
-use rand::rngs::SmallRng;
-use rand::Rng;
 use rechord_core::adversary::mix;
 use rechord_id::Ident;
 
@@ -30,28 +27,6 @@ pub enum LatencyModel {
 }
 
 impl LatencyModel {
-    /// Draws one hop latency. Every draw consumes exactly one `rng` value,
-    /// so swapping models does not shift the stream used by other samplers.
-    pub fn sample(&self, rng: &mut SmallRng) -> u64 {
-        match *self {
-            LatencyModel::Fixed(t) => {
-                let _ = rng.gen::<u64>(); // keep the stream aligned
-                t.max(1)
-            }
-            LatencyModel::Uniform { lo, hi } => {
-                assert!(lo <= hi, "uniform latency needs lo <= hi");
-                // Inclusive draw: `hi - lo + 1` would overflow at
-                // `hi == u64::MAX`, and the result is floored like the
-                // other models so `lo: 0` cannot yield a zero-tick hop.
-                rng.gen_range(lo..=hi).max(1)
-            }
-            LatencyModel::Exponential { mean } => {
-                let d = Exp::new(1.0 / mean.max(f64::MIN_POSITIVE));
-                (d.sample(rng).round() as u64).max(1)
-            }
-        }
-    }
-
     /// Draws one hop latency as a *pure function* of the given key words
     /// (hashed through the splitmix finalizer), not of a position in an rng
     /// stream. Two draws agree iff their key words agree — the data plane
@@ -69,8 +44,8 @@ impl LatencyModel {
                 x.max(1)
             }
             LatencyModel::Exponential { mean } => {
-                // Inverse-CDF with 53 uniform bits, mirroring the floored
-                // rounding of the rng-stream sampler.
+                // Inverse-CDF with 53 uniform bits, rounded to ticks and
+                // floored at 1 like the other models.
                 let u = (h >> 11) as f64 / (1u64 << 53) as f64;
                 let draw = -mean.max(f64::MIN_POSITIVE) * (1.0 - u).ln();
                 (draw.round() as u64).max(1)
@@ -194,65 +169,49 @@ impl ServiceQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn fixed_is_fixed_and_floored() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        assert_eq!(LatencyModel::Fixed(7).sample(&mut rng), 7);
-        assert_eq!(LatencyModel::Fixed(0).sample(&mut rng), 1);
+        assert_eq!(LatencyModel::Fixed(7).sample_keyed(&[1]), 7);
+        assert_eq!(LatencyModel::Fixed(0).sample_keyed(&[2]), 1);
         assert_eq!(LatencyModel::Fixed(7).mean(), 7.0);
     }
 
     #[test]
     fn uniform_stays_in_bounds() {
         let m = LatencyModel::Uniform { lo: 5, hi: 15 };
-        let mut rng = SmallRng::seed_from_u64(2);
-        let mut seen_lo = false;
-        let mut seen_hi = false;
-        for _ in 0..2_000 {
-            let x = m.sample(&mut rng);
+        let mut seen = std::collections::BTreeSet::new();
+        for id in 0..2_000u64 {
+            let x = m.sample_keyed(&[42, 0xabc, id]);
             assert!((5..=15).contains(&x));
-            seen_lo |= x == 5;
-            seen_hi |= x == 15;
+            seen.insert(x);
         }
-        assert!(seen_lo && seen_hi, "both bounds are reachable");
+        assert_eq!(seen.len(), 11, "all 11 values of [5,15] are reachable");
         assert_eq!(m.mean(), 10.0);
     }
 
     #[test]
     fn uniform_full_width_and_zero_lo_are_safe() {
-        // `hi == u64::MAX` used to overflow in `hi - lo + 1`; the inclusive
-        // draw must cover the full width without panicking.
-        let mut rng = SmallRng::seed_from_u64(7);
+        // `hi - lo + 1` overflows at full width; the draw must cover the
+        // whole range without panicking.
         let full = LatencyModel::Uniform { lo: 0, hi: u64::MAX };
-        for _ in 0..100 {
-            assert!(full.sample(&mut rng) >= 1, "even the widest draw is floored at 1");
+        for id in 0..100u64 {
+            assert!(full.sample_keyed(&[id]) >= 1, "even the widest draw is floored at 1");
         }
         let top = LatencyModel::Uniform { lo: u64::MAX, hi: u64::MAX };
-        assert_eq!(top.sample(&mut rng), u64::MAX);
+        assert_eq!(top.sample_keyed(&[7]), u64::MAX);
         // `lo: 0` draws are floored: a hop never takes zero virtual time.
         let low = LatencyModel::Uniform { lo: 0, hi: 3 };
         let mut floored = 0;
-        for _ in 0..2_000 {
-            let x = low.sample(&mut rng);
+        for id in 0..2_000u64 {
+            let x = low.sample_keyed(&[7, id]);
             assert!((1..=3).contains(&x));
             floored += u64::from(x == 1);
         }
         assert!(floored > 600, "0 and 1 both collapse onto the 1-tick floor ({floored})");
         assert_eq!(LatencyModel::Uniform { lo: 0, hi: 0 }.mean(), 1.0);
-    }
-
-    #[test]
-    fn exponential_mean_roughly_holds() {
-        let m = LatencyModel::Exponential { mean: 20.0 };
-        let mut rng = SmallRng::seed_from_u64(3);
-        let n = 20_000;
-        let sum: u64 = (0..n).map(|_| m.sample(&mut rng)).sum();
-        let mean = sum as f64 / n as f64;
-        assert!((mean - 20.0).abs() < 1.0, "empirical mean {mean}");
-        // never zero
-        assert!((0..1000).all(|_| m.sample(&mut rng) >= 1));
     }
 
     #[test]
@@ -335,21 +294,13 @@ mod tests {
     fn keyed_draws_are_pure_bounded_and_key_sensitive() {
         let m = LatencyModel::Uniform { lo: 5, hi: 15 };
         let mut seen = std::collections::BTreeSet::new();
-        for id in 0..2_000u64 {
+        for id in 0..64u64 {
             let x = m.sample_keyed(&[42, 0xabc, id]);
             assert!((5..=15).contains(&x));
             assert_eq!(x, m.sample_keyed(&[42, 0xabc, id]), "same key, same draw");
             seen.insert(x);
         }
-        assert_eq!(seen.len(), 11, "all 11 values of [5,15] are reachable");
-        // Fixed ignores the key entirely; the floor still applies.
-        assert_eq!(LatencyModel::Fixed(0).sample_keyed(&[1, 2]), 1);
-        assert_eq!(LatencyModel::Fixed(9).sample_keyed(&[3]), 9);
-        // Full-width uniform must not overflow, and stays floored.
-        let full = LatencyModel::Uniform { lo: 0, hi: u64::MAX };
-        for id in 0..100u64 {
-            assert!(full.sample_keyed(&[id]) >= 1);
-        }
+        assert!(seen.len() > 1, "different keys draw different latencies");
     }
 
     #[test]
@@ -359,6 +310,8 @@ mod tests {
         let sum: u64 = (0..n).map(|id| m.sample_keyed(&[7, id])).sum();
         let mean = sum as f64 / n as f64;
         assert!((mean - 20.0).abs() < 1.0, "empirical keyed mean {mean}");
+        // never zero
+        assert!((0..1000u64).all(|id| m.sample_keyed(&[8, id]) >= 1));
     }
 
     #[test]
@@ -376,20 +329,5 @@ mod tests {
         // Synced-at-idle is observationally identical to absent.
         let mut fresh = ServiceQueue::new(5);
         assert_eq!(q.admit(a, 7), fresh.admit(a, 7));
-    }
-
-    #[test]
-    fn one_draw_per_sample_keeps_streams_aligned() {
-        // Same rng consumption for every model: the *next* value after one
-        // sample is identical regardless of which model sampled.
-        let probe = |m: LatencyModel| {
-            let mut rng = SmallRng::seed_from_u64(9);
-            let _ = m.sample(&mut rng);
-            rng.gen::<u64>()
-        };
-        let a = probe(LatencyModel::Fixed(3));
-        let b = probe(LatencyModel::Uniform { lo: 1, hi: 8 });
-        let c = probe(LatencyModel::Exponential { mean: 5.0 });
-        assert!(a == b && b == c);
     }
 }

@@ -60,9 +60,9 @@ use crate::latency::{LatencyModel, ServiceQueue};
 use crate::metrics::{OutcomeKind, RequestOutcome, SloSink, SloSummary};
 use rechord_core::adversary::{chance, mix, AdversaryMap, Behavior, Crime};
 use rechord_core::network::ReChordNetwork;
-use rechord_id::{IdSpace, Ident};
+use rechord_id::{successor_index, IdSpace, Ident};
 use rechord_placement::{Departure, PlacementMap};
-use rechord_routing::{route_step, HopDecision, RoutingTable};
+use rechord_routing::{walk, RoutingTable, Walk};
 use rechord_topology::{ChurnEvent, TimedChurnPlan};
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -616,12 +616,10 @@ impl TrafficSim {
                 }
                 // The victim is the attacker's clockwise successor: the
                 // peer whose heartbeats it relays — and starves.
-                let idx = match peers.binary_search(&attacker) {
-                    Ok(i) => (i + 1) % peers.len(),
-                    Err(i) => i % peers.len(),
-                };
-                if peers[idx] != attacker {
-                    self.detector.suspect(peers[idx], now);
+                let after = Ident::from_raw(attacker.raw().wrapping_add(1));
+                let victim = peers[successor_index(&peers, after).expect("peers is non-empty")];
+                if victim != attacker {
+                    self.detector.suspect(victim, now);
                 }
             }
         }
@@ -786,70 +784,54 @@ impl TrafficSim {
 
     /// Drives a request from its current resident peer: free local steps
     /// until the route either needs a network hop (scheduled with a purely
-    /// keyed latency draw), completes, or gets stuck.
+    /// keyed latency draw), completes, or gets stuck. A resident peer that
+    /// crashed while the request was in flight is unknown to the table, so
+    /// the walk is stuck there and the request retries.
     fn advance(&mut self, now: u64, mut f: InFlight) {
         let key_pos = self.space.key_position(f.req.key);
-        loop {
-            if self.table.knowledge_of(f.peer).is_none() {
-                // The resident peer crashed while the request was in flight.
-                return self.retry(now, f);
-            }
-            match route_step(&self.table, f.peer, f.cursor, key_pos) {
-                HopDecision::Arrived => return self.complete(now, f, key_pos),
-                HopDecision::Next { peer, cursor } => {
-                    if peer == f.peer {
-                        f.cursor = cursor;
-                        continue; // local step through its own virtual nodes
-                    }
-                    // The *forwarder* (the current resident peer) decides
-                    // the hop's fate before the honest greedy choice ships.
-                    let mut next = peer;
-                    let mut next_cursor = cursor;
-                    if !self.adversary.is_all_honest() {
-                        match self.adversary.behavior_of(f.peer) {
-                            Behavior::Byzantine(crimes) => {
-                                if crimes.contains(Crime::DropForward) {
-                                    // Silent drop: the client times out and
-                                    // pays the full retry price.
-                                    return self.retry(now, f);
-                                }
-                                if crimes.contains(Crime::MisrouteForward) {
-                                    if let Some(worst) = self.worst_forward(f.peer, key_pos) {
-                                        // Ship the request to the worst
-                                        // known peer without advancing the
-                                        // route cursor: a hop is burned and
-                                        // no logical progress is made.
-                                        next = worst;
-                                        next_cursor = f.cursor;
-                                    }
-                                }
-                            }
-                            Behavior::Flaky(p) => {
-                                let coin = [
-                                    self.adversary.seed(),
-                                    0xd201_f0f0,
-                                    f.req.id,
-                                    u64::from(f.hops),
-                                ];
-                                if chance(&coin, p) {
-                                    return self.retry(now, f);
-                                }
-                            }
-                            Behavior::Honest => {}
-                        }
-                    }
-                    f.cursor = next_cursor;
-                    f.hops += 1;
-                    if f.hops > self.cfg.hop_budget {
+        let (mut next, mut next_cursor) =
+            match walk(&self.table, f.peer, &mut f.cursor, key_pos, None) {
+                Walk::Arrived => return self.complete(now, f, key_pos),
+                Walk::Forward { peer, cursor } => (peer, cursor),
+                Walk::Stuck | Walk::OutOfSteps => return self.retry(now, f),
+            };
+        // The *forwarder* (the current resident peer) decides the hop's
+        // fate before the honest greedy choice ships.
+        if !self.adversary.is_all_honest() {
+            match self.adversary.behavior_of(f.peer) {
+                Behavior::Byzantine(crimes) => {
+                    if crimes.contains(Crime::DropForward) {
+                        // Silent drop: the client times out and pays the
+                        // full retry price.
                         return self.retry(now, f);
                     }
-                    f.peer = next;
-                    let time = now + self.hop_latency(&f);
-                    return self.data.push(Slot { time, id: f.req.id, wire: Wire::Hop(f) });
+                    if crimes.contains(Crime::MisrouteForward) {
+                        if let Some(worst) = self.worst_forward(f.peer, key_pos) {
+                            // Ship the request to the worst known peer
+                            // without advancing the route cursor: a hop is
+                            // burned and no logical progress is made.
+                            next = worst;
+                            next_cursor = f.cursor;
+                        }
+                    }
                 }
-                HopDecision::Stuck => return self.retry(now, f),
+                Behavior::Flaky(p) => {
+                    let coin = [self.adversary.seed(), 0xd201_f0f0, f.req.id, u64::from(f.hops)];
+                    if chance(&coin, p) {
+                        return self.retry(now, f);
+                    }
+                }
+                Behavior::Honest => {}
             }
         }
+        f.cursor = next_cursor;
+        f.hops += 1;
+        if f.hops > self.cfg.hop_budget {
+            return self.retry(now, f);
+        }
+        f.peer = next;
+        let time = now + self.hop_latency(&f);
+        self.data.push(Slot { time, id: f.req.id, wire: Wire::Hop(f) });
     }
 
     /// One purely keyed latency draw. `(request id, hops)` never repeats —
