@@ -85,6 +85,13 @@ if grep -qv '^{"pr":' perf/trajectory.jsonl; then
   exit 1
 fi
 
+# 3k. The active-set engine against its full-sweep oracle at benchmark
+#     scale, in release mode: tests/active_set.rs runs a copy of the
+#     step-every-peer round beside the engine and compares states, tallies
+#     and dirty lists every round, including the ignored 160-peer cold
+#     start and the 96-peer churn sequence.
+run cargo test --release -q --offline --test active_set -- --include-ignored
+
 # 3j. The cluster serving gate at sweep scale, in release mode: every
 #     random cluster the engine converges on must serve (n = 16 over seeds
 #     0..256, n = 64 over seeds 224..240), including clusters whose largest

@@ -323,14 +323,25 @@ pub fn convergence(h: &Harness) {
 }
 
 /// Applies `event` to a fresh stable network and measures (integration
-/// rounds, fixpoint rounds).
-fn churn_cost(n: usize, seed: u64, event: impl FnOnce(&mut ReChordNetwork)) -> (f64, f64) {
+/// rounds, fixpoint rounds, peer-steps summed to the fixpoint).
+fn churn_cost(n: usize, seed: u64, event: impl FnOnce(&mut ReChordNetwork)) -> (f64, f64, f64) {
     let (mut net, _) = stabilized_random(n, seed);
     event(&mut net);
-    let integ = net.run_until_almost_stable(MAX_ROUNDS).expect("must re-integrate");
-    let fix = net.run_until_stable(MAX_ROUNDS);
-    assert!(fix.converged);
-    (integ as f64, (integ + fix.rounds_to_stable()) as f64)
+    let (mut integ, mut rounds, mut steps) = (None, 0u64, 0usize);
+    loop {
+        if integ.is_none() && net.is_almost_stable() {
+            integ = Some(rounds);
+        }
+        let out = net.round();
+        steps += out.stepped;
+        if !out.changed {
+            break;
+        }
+        rounds += 1;
+        assert!(rounds < MAX_ROUNDS, "n={n} seed={seed} did not re-stabilize");
+    }
+    let integ = integ.expect("the fixpoint is almost stable");
+    (integ as f64, rounds as f64, steps as f64)
 }
 
 /// **Theorems 4.1 / 4.2** — re-stabilization cost of isolated churn:
@@ -344,6 +355,11 @@ fn churn_cost(n: usize, seed: u64, event: impl FnOnce(&mut ReChordNetwork)) -> (
 /// in-flight ring/connection streams to settle into their new steady
 /// pattern (the paper likewise notes leftover "unnecessary edges ... will
 /// be eliminated after at most O(n log n) rounds" beyond integration).
+///
+/// The `steps_*` columns restate the theorems as a cost: the peer-steps
+/// the engine runs from the event to the fixpoint. The event changes
+/// membership, so every peer steps in the first round after it; from then
+/// on only the peers whose inputs changed do.
 pub fn join_leave(h: &Harness) {
     let trials = h.trials;
     println!("Theorems 4.1/4.2: isolated join / leave / crash ({trials} trials/size)\n");
@@ -366,7 +382,7 @@ pub fn join_leave(h: &Harness) {
                 let ids = net.real_ids();
                 assert!(net.crash(ids[(seed as usize / 3) % ids.len()]));
             });
-            [join.0, leave.0, crash.0, join.1, leave.1, crash.1]
+            [join.0, leave.0, crash.0, join.1, leave.1, crash.1, join.2, leave.2, crash.2]
         },
     );
 
@@ -378,6 +394,9 @@ pub fn join_leave(h: &Harness) {
         "fix_join",
         "fix_leave",
         "fix_crash",
+        "steps_join",
+        "steps_leave",
+        "steps_crash",
         "log2n",
         "log2n^2",
     ]);
@@ -403,6 +422,18 @@ pub fn join_leave(h: &Harness) {
             shape.best(),
             shape.ranking[0].1,
             shape.r2_of(bound).unwrap_or(0.0)
+        );
+    }
+    let log_ns: Vec<f64> = ns.iter().map(|n| n.ln()).collect();
+    for (label, k) in [("join  peer-steps", 6), ("leave peer-steps", 7), ("crash peer-steps", 8)] {
+        let steps = means(&points, k);
+        let shape = fit::classify_growth(&ns, &steps);
+        let log_steps: Vec<f64> = steps.iter().map(|s| s.ln()).collect();
+        println!(
+            "shape of {label}: best fit {:8} (r² = {:.4}); log-log slope {:.2} (1 is linear: the first round alone steps all n peers)",
+            shape.best(),
+            shape.ranking[0].1,
+            fit::linear(&log_ns, &log_steps).slope
         );
     }
     println!("\n(n and polylog(n) are weakly separable on an 8-point sweep up to n=105; the load-bearing observation is the absolute scale — integration takes a handful of rounds, far below the cold-start figures of fig6.)");

@@ -1,11 +1,14 @@
 //! Property-based tests of the protocol's global invariants.
 
+use crate::msg::Msg;
 use crate::network::ReChordNetwork;
 use crate::oracle;
-use crate::state::RefSet;
+use crate::protocol::ReChordProtocol;
+use crate::state::{PeerState, RefSet, VirtualState};
 use proptest::prelude::*;
 use rechord_graph::{connectivity, NodeRef};
 use rechord_id::Ident;
+use rechord_sim::{Outbox, RoundView, SyncProtocol};
 use rechord_topology::TopologyKind;
 use std::collections::BTreeSet;
 use std::ops::Bound;
@@ -229,5 +232,101 @@ proptest! {
         prop_assert_eq!(out.byzantine, 0);
         prop_assert!(out.converged);
         prop_assert_eq!(net.snapshot(), plain.snapshot());
+    }
+}
+
+/// The peers of the `observably_equal` contract test: a reader, the peer
+/// `X` it observes, and a bystander, at fixed ring positions.
+const CONTRACT_PEERS: [u64; 3] =
+    [0x3000_0000_0000_0000, 0x9000_0000_0000_0000, 0xd000_0000_0000_0000];
+const X: usize = 1;
+
+fn contract_ref() -> impl Strategy<Value = NodeRef> {
+    (0..CONTRACT_PEERS.len(), 0u8..4)
+        .prop_map(|(k, level)| NodeRef { owner: Ident::from_raw(CONTRACT_PEERS[k]), level })
+}
+
+fn virtual_state() -> impl Strategy<Value = VirtualState> {
+    let refs = || prop::collection::vec(contract_ref(), 0..5);
+    (refs(), refs(), refs(), prop::option::of(contract_ref()), prop::option::of(contract_ref()))
+        .prop_map(|(nu, nr, nc, rl, rr)| VirtualState {
+            nu: nu.into_iter().collect(),
+            nr: nr.into_iter().collect(),
+            nc: nc.into_iter().collect(),
+            rl,
+            rr,
+        })
+}
+
+/// Arbitrary garbage: level 0 plus any of levels 1–3, every field random.
+fn peer_state() -> impl Strategy<Value = PeerState> {
+    (0u8..8, prop::collection::vec(virtual_state(), 4)).prop_map(|(mask, vs)| PeerState {
+        levels: vs
+            .into_iter()
+            .enumerate()
+            .filter(|&(lvl, _)| lvl == 0 || mask & (1 << (lvl - 1)) != 0)
+            .map(|(lvl, vs)| (lvl as u8, vs))
+            .collect(),
+    })
+}
+
+/// `a` with `b`'s edge sets, then at most one register of one level
+/// rewritten: `(level index, rr rather than rl, new value)`.
+fn edges_swapped(
+    a: &PeerState,
+    b: &PeerState,
+    register: Option<(usize, bool, Option<NodeRef>)>,
+) -> PeerState {
+    let mut out = a.clone();
+    for (lvl, vs) in out.levels.iter_mut() {
+        let src = b.level(*lvl).cloned().unwrap_or_default();
+        (vs.nu, vs.nr, vs.nc) = (src.nu, src.nr, src.nc);
+    }
+    if let Some((k, right, value)) = register {
+        let vs = out.levels.values_mut().nth(k % a.levels.len()).expect("k is reduced into range");
+        *if right { &mut vs.rr } else { &mut vs.rl } = value;
+    }
+    out
+}
+
+/// One Re-Chord step of the reader against a view in which `X` holds `x`.
+fn step_reader(reader: &PeerState, x: &PeerState, bystander: &PeerState) -> (PeerState, Vec<Msg>) {
+    let ids = CONTRACT_PEERS.map(Ident::from_raw);
+    let states = [reader.clone(), x.clone(), bystander.clone()];
+    let view = RoundView::new(&ids, &states);
+    let mut post = reader.clone();
+    let mut out = Outbox::new();
+    ReChordProtocol::full().step(ids[0], &mut post, &view, &mut out);
+    let mut msgs: Vec<Msg> = out.into_inner().into_iter().map(|(_, m)| m).collect();
+    msgs.sort_unstable();
+    (post, msgs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The contract behind `ReChordProtocol::observably_equal`, which lets
+    /// the engine keep a reader's last step when only what the override
+    /// ignores changed: whenever it calls two states of `X` equal, a
+    /// reader that references `X` steps identically against either. The
+    /// second state differs from the first in its edge sets and, half the
+    /// time, in one `rl`/`rr` register, so an override that ignored a
+    /// register would be caught.
+    #[test]
+    fn observably_equal_states_step_readers_alike(
+        reader in peer_state(),
+        x_level in 0u8..4,
+        a in peer_state(),
+        edges in peer_state(),
+        register in prop::option::of((0usize..4, any::<bool>(), prop::option::of(contract_ref()))),
+        bystander in peer_state(),
+    ) {
+        let mut reader = reader;
+        let x = Ident::from_raw(CONTRACT_PEERS[X]);
+        reader.levels.get_mut(&0).expect("level 0").nu.extend([NodeRef::real(x), NodeRef { owner: x, level: x_level }]);
+        let b = edges_swapped(&a, &edges, register);
+        if ReChordProtocol::full().observably_equal(&a, &b) {
+            prop_assert_eq!(step_reader(&reader, &a, &bystander), step_reader(&reader, &b, &bystander));
+        }
     }
 }

@@ -185,6 +185,18 @@ impl SyncProtocol for ReChordProtocol {
     fn deliver(&self, me: Ident, state: &mut PeerState, msg: &Msg) {
         msg.apply(me, state);
     }
+
+    /// The rules read three things of another peer: that it exists, which
+    /// levels it simulates (`validate_references`) and each level's
+    /// `rl`/`rr` (rule 3's guards through `rules::observed`). Its edge sets
+    /// are private to it.
+    fn observably_equal(&self, a: &PeerState, b: &PeerState) -> bool {
+        a.levels.len() == b.levels.len()
+            && a.levels
+                .iter()
+                .zip(&b.levels)
+                .all(|((la, va), (lb, vb))| la == lb && va.rl == vb.rl && va.rr == vb.rr)
+    }
 }
 
 #[cfg(test)]

@@ -3,12 +3,15 @@
 use crate::report::FixpointReport;
 use crate::{Outbox, SyncProtocol};
 use rechord_id::Ident;
+use std::cell::RefCell;
 
 /// Read-only access to the previous round's global state (the snapshot
 /// against which all nodes compute; see crate docs).
 pub struct RoundView<'a, S> {
     ids: &'a [Ident],
     states: &'a [S],
+    /// Where the engine records the index of every peer a step reads.
+    reads: Option<&'a RefCell<Vec<usize>>>,
 }
 
 impl<'a, S> RoundView<'a, S> {
@@ -19,28 +22,17 @@ impl<'a, S> RoundView<'a, S> {
     pub fn new(ids: &'a [Ident], states: &'a [S]) -> Self {
         debug_assert_eq!(ids.len(), states.len());
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must be sorted");
-        RoundView { ids, states }
+        RoundView { ids, states, reads: None }
     }
 
     /// The previous-round state of the peer `id`, if it exists.
     #[inline]
     pub fn get(&self, id: Ident) -> Option<&'a S> {
-        self.ids.binary_search(&id).ok().map(|i| &self.states[i])
-    }
-
-    /// All peers in ascending identifier order.
-    pub fn iter(&self) -> impl Iterator<Item = (Ident, &'a S)> + '_ {
-        self.ids.iter().copied().zip(self.states.iter())
-    }
-
-    /// Number of peers in the snapshot.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// True iff the snapshot is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        let at = self.ids.binary_search(&id).ok()?;
+        if let Some(reads) = self.reads {
+            reads.borrow_mut().push(at);
+        }
+        Some(&self.states[at])
     }
 }
 
@@ -56,6 +48,9 @@ pub struct RoundOutcome {
     /// Messages addressed to peers that no longer exist (dropped — models a
     /// crashed receiver).
     pub dropped: usize,
+    /// Peers whose `step` ran this round; the others reused their last
+    /// step (see [`Engine`]). At the fixpoint it falls to zero.
+    pub stepped: usize,
 }
 
 /// A population of peers evolving under a [`SyncProtocol`].
@@ -63,10 +58,81 @@ pub struct RoundOutcome {
 /// Peers are kept sorted by identifier; all iteration and message delivery
 /// orders are deterministic, and rounds are pure functions of the global
 /// state, so runs are reproducible bit-for-bit.
+///
+/// A round steps only the peers whose inputs changed. A step is a pure
+/// function of the peer's own start state and of what it reads of other
+/// peers through the [`RoundView`], so the engine records each step's
+/// reads and keeps its post-step state and sorted outbox. A peer re-steps
+/// when its own state changed, when a peer it read changed as
+/// [`SyncProtocol::observably_equal`] sees it, or when the cache was
+/// dropped; otherwise its last step is reused. A reused peer whose inbox
+/// is also unchanged keeps its state without delivery or comparison, so a
+/// round at the fixpoint steps, delivers and compares nothing.
 pub struct Engine<P: SyncProtocol> {
     protocol: P,
     ids: Vec<Ident>,
     states: Vec<P::State>,
+    /// Inserted since the last round. A peer's first round almost surely
+    /// changes it, so it delivers onto its post-step state in place rather
+    /// than keep a copy: a cold start, in which every peer steps, then
+    /// holds one state copy per peer, not two.
+    fresh: Vec<bool>,
+    memo: Memo<P::State, P::Msg>,
+}
+
+/// Each peer's last step, column-wise and aligned with the id column.
+///
+/// A peer whose state just changed steps next round anyway, so its
+/// post-step state, reads and outbox are dropped, and the targets of that
+/// outbox are marked as having a changed inbox instead.
+struct Memo<S, M> {
+    /// The post-step state; `None` forces a step.
+    post: Vec<Option<S>>,
+    /// The messages it sent to live peers, by `(target index, message)`.
+    outbox: Vec<Vec<(usize, M)>>,
+    /// How many messages it sent to absent peers.
+    dropped: Vec<usize>,
+    /// Indices of the peers its step read, ascending.
+    reads: Vec<Vec<usize>>,
+    /// Changed observably since its readers last stepped.
+    seen: Vec<bool>,
+    /// Lost a sender's outbox since the last round.
+    inbox_changed: Vec<bool>,
+}
+
+impl<S, M> Memo<S, M> {
+    /// No cached step for any of `n` peers: all of them step next round.
+    fn new(n: usize) -> Self {
+        Memo {
+            post: (0..n).map(|_| None).collect(),
+            outbox: (0..n).map(|_| Vec::new()).collect(),
+            dropped: vec![0; n],
+            reads: (0..n).map(|_| Vec::new()).collect(),
+            seen: vec![false; n],
+            inbox_changed: vec![false; n],
+        }
+    }
+
+    /// Drops the rest of the step of peer `i`, whose state just changed
+    /// (its post-step state is already gone).
+    fn drop_step(&mut self, i: usize) {
+        self.reads[i] = Vec::new();
+        self.dropped[i] = 0;
+        for (t, _) in std::mem::take(&mut self.outbox[i]) {
+            self.inbox_changed[t] = true;
+        }
+    }
+}
+
+/// How one peer takes part in a round.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Part {
+    /// Reuses its cached step.
+    Reuse,
+    /// Runs `step`.
+    Step,
+    /// Sat out by the schedule: no step, no messages, no cached step.
+    Skip,
 }
 
 impl<P: SyncProtocol> Engine<P> {
@@ -75,7 +141,20 @@ impl<P: SyncProtocol> Engine<P> {
     /// parameter survives only because `benchmark/` passes one through the
     /// network constructors.
     pub fn new(protocol: P, _threads: usize) -> Self {
-        Engine { protocol, ids: Vec::new(), states: Vec::new() }
+        Engine {
+            protocol,
+            ids: Vec::new(),
+            states: Vec::new(),
+            fresh: Vec::new(),
+            memo: Memo::new(0),
+        }
+    }
+
+    /// Drops every cached step; the next round rebuilds the cache for the
+    /// current peers. Membership decides both which reads miss and which
+    /// messages drop, and the protocol is an input of every step.
+    fn forget(&mut self) {
+        self.memo = Memo::new(0);
     }
 
     /// The protocol instance.
@@ -87,6 +166,7 @@ impl<P: SyncProtocol> Engine<P> {
     /// reconfigure protocol-level knobs (rule masks, adversary policies)
     /// between rounds. Changes apply from the next round.
     pub fn protocol_mut(&mut self) -> &mut P {
+        self.forget();
         &mut self.protocol
     }
 
@@ -98,6 +178,8 @@ impl<P: SyncProtocol> Engine<P> {
             Err(pos) => {
                 self.ids.insert(pos, id);
                 self.states.insert(pos, state);
+                self.fresh.insert(pos, true);
+                self.forget();
                 true
             }
         }
@@ -105,13 +187,11 @@ impl<P: SyncProtocol> Engine<P> {
 
     /// Removes a peer (a crash or leave), returning its final state.
     pub fn remove_node(&mut self, id: Ident) -> Option<P::State> {
-        match self.ids.binary_search(&id) {
-            Ok(pos) => {
-                self.ids.remove(pos);
-                Some(self.states.remove(pos))
-            }
-            Err(_) => None,
-        }
+        let pos = self.ids.binary_search(&id).ok()?;
+        self.ids.remove(pos);
+        self.fresh.remove(pos);
+        self.forget();
+        Some(self.states.remove(pos))
     }
 
     /// Is the peer present?
@@ -125,11 +205,15 @@ impl<P: SyncProtocol> Engine<P> {
     }
 
     /// Mutate a peer's current state (used by churn drivers to seed edges).
+    /// The peer and every peer that read it re-step next round.
     pub fn state_mut(&mut self, id: Ident) -> Option<&mut P::State> {
-        match self.ids.binary_search(&id) {
-            Ok(i) => Some(&mut self.states[i]),
-            Err(_) => None,
+        let i = self.ids.binary_search(&id).ok()?;
+        // An empty cache (just dropped) already makes everyone step.
+        if let Some(post) = self.memo.post.get_mut(i) {
+            *post = None;
+            self.memo.seen[i] = true;
         }
+        Some(&mut self.states[i])
     }
 
     /// All peers with their states, ascending by identifier.
@@ -152,8 +236,8 @@ impl<P: SyncProtocol> Engine<P> {
         self.ids.is_empty()
     }
 
-    /// Executes one synchronous round: snapshot, per-node step, sorted
-    /// message merge, delivery.
+    /// Executes one synchronous round: per-node step against the round
+    /// start, per-target message merge, delivery.
     pub fn round(&mut self) -> RoundOutcome {
         self.round_with_schedule(|_| true)
     }
@@ -169,10 +253,7 @@ impl<P: SyncProtocol> Engine<P> {
     /// use full rounds (or [`Engine::run_until_fixpoint`]) to confirm
     /// stability.
     pub fn round_with_schedule(&mut self, active: impl Fn(Ident) -> bool) -> RoundOutcome {
-        let (prev, delivered, dropped) = self.round_core(&active);
-        // Short-circuits at the first differing peer — the hot path for
-        // fixpoint loops that never look at *which* peers changed.
-        RoundOutcome { changed: prev != self.states, delivered, dropped }
+        self.round_core(&active).0
     }
 
     /// Like [`Engine::round_with_schedule`], additionally reporting exactly
@@ -186,45 +267,152 @@ impl<P: SyncProtocol> Engine<P> {
         &mut self,
         active: impl Fn(Ident) -> bool,
     ) -> (RoundOutcome, Vec<Ident>) {
-        let (prev, delivered, dropped) = self.round_core(&active);
-        // The id column is fixed within a round, so prev and states align.
-        let dirty: Vec<Ident> = self
-            .ids
-            .iter()
-            .zip(prev.iter().zip(self.states.iter()))
-            .filter(|(_, (a, b))| a != b)
-            .map(|(&id, _)| id)
-            .collect();
-        (RoundOutcome { changed: !dirty.is_empty(), delivered, dropped }, dirty)
+        self.round_core(&active)
     }
 
-    /// The shared round body: step, merge, deliver. Returns the pre-round
-    /// states (for change detection) plus delivery counts.
-    fn round_core(&mut self, active: &impl Fn(Ident) -> bool) -> (Vec<P::State>, usize, usize) {
-        let prev = self.states.clone();
-        let mut msgs = self.step_all(&prev, active);
+    /// The shared round body: step the peers whose inputs changed, deliver
+    /// to the peers whose post-step state or inbox changed, and compare
+    /// those with their start states. Returns the outcome and the dirty
+    /// peers, ascending.
+    fn round_core(&mut self, active: &impl Fn(Ident) -> bool) -> (RoundOutcome, Vec<Ident>) {
+        let n = self.ids.len();
+        if self.memo.post.len() != n {
+            self.memo = Memo::new(n);
+        }
+        let memo = &mut self.memo;
+        // Who reuses: an active peer with a cached step none of whose reads
+        // changed observably since.
+        let any_seen = memo.seen.contains(&true);
+        let parts: Vec<Part> = (0..n)
+            .map(|i| {
+                if !active(self.ids[i]) {
+                    Part::Skip
+                } else if memo.post[i].is_none()
+                    || (any_seen && memo.reads[i].iter().any(|&j| memo.seen[j]))
+                {
+                    Part::Step
+                } else {
+                    Part::Reuse
+                }
+            })
+            .collect();
+        memo.seen.fill(false);
 
-        // Canonical delivery order: by (target, message). Ties carry equal
-        // messages, so unstable sorting cannot perturb outcomes.
-        msgs.sort_unstable();
-
-        // Targets ascend, so one cursor walks the (sorted) id column.
-        let mut delivered = 0usize;
-        let mut dropped = 0usize;
-        let mut at = 0usize;
-        for (to, msg) in &msgs {
-            while self.ids.get(at).is_some_and(|id| id < to) {
-                at += 1;
+        // Step, then replace each outbox; a target of a changed outbox
+        // (old or new) has a changed inbox.
+        let mut stepped = 0;
+        let mut inbox_changed = std::mem::replace(&mut memo.inbox_changed, vec![false; n]);
+        let mut scratch = Outbox::new();
+        let reads = RefCell::new(Vec::new());
+        for (i, part) in parts.iter().enumerate() {
+            match part {
+                Part::Reuse => continue,
+                Part::Skip => memo.post[i] = None,
+                Part::Step => {
+                    stepped += 1;
+                    let mut post = self.states[i].clone();
+                    let view =
+                        RoundView { ids: &self.ids, states: &self.states, reads: Some(&reads) };
+                    self.protocol.step(self.ids[i], &mut post, &view, &mut scratch);
+                    let mut read = reads.borrow_mut();
+                    read.sort_unstable();
+                    read.dedup();
+                    memo.reads[i] = read.drain(..).collect();
+                    memo.post[i] = Some(post);
+                }
             }
-            if self.ids.get(at) == Some(to) {
-                self.protocol.deliver(*to, &mut self.states[at], msg);
-                delivered += 1;
-            } else {
-                dropped += 1;
+            // Targets ascend after the sort, so one cursor walks the ids.
+            scratch.msgs.sort_unstable();
+            let mut outbox = Vec::with_capacity(scratch.msgs.len());
+            let mut dropped = 0;
+            let mut at = 0;
+            for (to, msg) in scratch.msgs.drain(..) {
+                while self.ids.get(at).is_some_and(|&id| id < to) {
+                    at += 1;
+                }
+                if self.ids.get(at) == Some(&to) {
+                    outbox.push((at, msg));
+                } else {
+                    dropped += 1;
+                }
             }
+            if outbox != memo.outbox[i] {
+                let old = std::mem::replace(&mut memo.outbox[i], outbox);
+                for &(t, _) in old.iter().chain(&memo.outbox[i]) {
+                    inbox_changed[t] = true;
+                }
+            }
+            memo.dropped[i] = dropped;
         }
 
-        (prev, delivered, dropped)
+        let mut changed = Vec::new();
+        // A reusing peer with an unchanged inbox keeps its state: no
+        // delivery, no comparison.
+        let needs: Vec<bool> =
+            parts.iter().zip(&inbox_changed).map(|(&p, &c)| p != Part::Reuse || c).collect();
+        if needs.contains(&true) {
+            // The inboxes of those peers, bucketed by target (a counting
+            // sort): a bucket sorted is its slice of the canonical
+            // `(target, message)` delivery order. Ties are equal messages,
+            // so unstable sorting cannot perturb outcomes.
+            let mut bucket = vec![0usize; n + 1];
+            for &(t, _) in memo.outbox.iter().flatten() {
+                if needs[t] {
+                    bucket[t + 1] += 1;
+                }
+            }
+            for t in 0..n {
+                bucket[t + 1] += bucket[t];
+            }
+            let mut inbox: Vec<Option<&P::Msg>> = vec![None; bucket[n]];
+            let mut fill = bucket.clone();
+            for (t, msg) in memo.outbox.iter().flatten() {
+                if needs[*t] {
+                    inbox[fill[*t]] = Some(msg);
+                    fill[*t] += 1;
+                }
+            }
+            for t in (0..n).filter(|&t| needs[t]) {
+                let msgs = &mut inbox[bucket[t]..bucket[t + 1]];
+                msgs.sort_unstable();
+                let id = self.ids[t];
+                let start = &self.states[t];
+                // Deliver onto a copy and keep the post-step state for the
+                // next round, unless the peer is fresh.
+                let mut next = match memo.post[t].take() {
+                    Some(post) if !self.fresh[t] => {
+                        let next = post.clone();
+                        memo.post[t] = Some(post);
+                        next
+                    }
+                    Some(post) => post,
+                    None => start.clone(),
+                };
+                for msg in msgs.iter().flatten() {
+                    self.protocol.deliver(id, &mut next, msg);
+                }
+                self.fresh[t] = false;
+                if next != *start {
+                    memo.seen[t] = !self.protocol.observably_equal(&next, start);
+                    // Freed here, not with the rest of the step below, so
+                    // the round never holds a post-step and a delivered
+                    // state for every peer at once.
+                    memo.post[t] = None;
+                    self.states[t] = next;
+                    changed.push(t);
+                }
+            }
+        }
+        let outcome = RoundOutcome {
+            changed: !changed.is_empty(),
+            delivered: memo.outbox.iter().map(Vec::len).sum(),
+            dropped: memo.dropped.iter().sum(),
+            stepped,
+        };
+        for &t in &changed {
+            memo.drop_step(t);
+        }
+        (outcome, changed.into_iter().map(|t| self.ids[t]).collect())
     }
 
     /// Runs up to `max_rounds` rounds, stopping at the first fixpoint
@@ -240,72 +428,62 @@ impl<P: SyncProtocol> Engine<P> {
         }
         FixpointReport { rounds: max_rounds, converged: false, total_messages }
     }
-
-    /// Evaluates the scheduled nodes' steps against `prev`, in identifier
-    /// order.
-    fn step_all(
-        &mut self,
-        prev: &[P::State],
-        active: &impl Fn(Ident) -> bool,
-    ) -> Vec<(Ident, P::Msg)> {
-        let view = RoundView { ids: &self.ids, states: prev };
-        let mut out = Outbox::new();
-        for (id, st) in self.ids.iter().zip(self.states.iter_mut()) {
-            if active(*id) {
-                self.protocol.step(*id, st, &view, &mut out);
-            }
-        }
-        out.into_inner()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A toy gossip protocol: every node's state is a set of known values;
-    /// each round it gossips its minimum to its successor (next larger id,
-    /// wrapping). Converges when everyone knows the global minimum.
+    /// A toy gossip protocol: every node knows a set of values and its
+    /// successor (next larger id, wrapping); each round it pushes its
+    /// minimum to the successor if the successor's state lacks it.
+    /// Converges when everyone knows the global minimum.
     struct MinGossip;
 
+    #[derive(Clone, Debug, PartialEq)]
+    struct Gossip {
+        succ: Ident,
+        known: Vec<u64>,
+    }
+
     impl SyncProtocol for MinGossip {
-        type State = Vec<u64>;
+        type State = Gossip;
         type Msg = u64;
 
         fn step(
             &self,
             me: Ident,
-            state: &mut Vec<u64>,
-            view: &RoundView<'_, Vec<u64>>,
+            state: &mut Gossip,
+            view: &RoundView<'_, Gossip>,
             out: &mut Outbox<u64>,
         ) {
-            state.sort_unstable();
-            state.dedup();
-            // successor = smallest id > me, else global smallest
-            let succ = view
-                .iter()
-                .map(|(id, _)| id)
-                .find(|&id| id > me)
-                .or_else(|| view.iter().map(|(id, _)| id).next());
-            if let (Some(succ), Some(&min)) = (succ, state.first()) {
-                if succ != me {
-                    out.send(succ, min);
-                }
+            state.known.sort_unstable();
+            state.known.dedup();
+            let Some(&min) = state.known.first() else { return };
+            if state.succ != me && view.get(state.succ).is_some_and(|s| !s.known.contains(&min)) {
+                out.send(state.succ, min);
             }
         }
 
-        fn deliver(&self, _me: Ident, state: &mut Vec<u64>, msg: &u64) {
-            if !state.contains(msg) {
-                state.push(*msg);
-                state.sort_unstable();
+        fn deliver(&self, _me: Ident, state: &mut Gossip, msg: &u64) {
+            if !state.known.contains(msg) {
+                state.known.push(*msg);
+                state.known.sort_unstable();
             }
         }
+    }
+
+    fn gossip_id(i: u64) -> Ident {
+        Ident::from_raw(i * 1000 + 17)
     }
 
     fn engine_with(n: u64) -> Engine<MinGossip> {
         let mut e = Engine::new(MinGossip, 1);
         for i in 0..n {
-            e.insert_node(Ident::from_raw(i * 1000 + 17), vec![i + 100]);
+            e.insert_node(
+                gossip_id(i),
+                Gossip { succ: gossip_id((i + 1) % n), known: vec![i + 100] },
+            );
         }
         e
     }
@@ -317,7 +495,32 @@ mod tests {
         assert!(report.converged, "gossip must stabilize");
         // Everyone ends up knowing the global minimum, 100.
         for (_, st) in e.iter() {
-            assert!(st.contains(&100));
+            assert!(st.known.contains(&100));
+        }
+    }
+
+    #[test]
+    fn idle_rounds_step_nobody() {
+        let mut e = engine_with(16);
+        assert!(e.run_until_fixpoint(1000).converged);
+        for _ in 0..3 {
+            let out = e.round();
+            assert_eq!(out, RoundOutcome { changed: false, delivered: 0, dropped: 0, stepped: 0 });
+        }
+    }
+
+    #[test]
+    fn an_edit_wakes_the_peer_and_its_readers() {
+        let mut e = engine_with(16);
+        assert!(e.run_until_fixpoint(1000).converged);
+        // Peer 5 learns a new minimum; peer 4 reads it (its successor).
+        e.state_mut(gossip_id(5)).expect("peer 5 lives").known.push(1);
+        let out = e.round();
+        assert_eq!(out.stepped, 2, "peer 5 and its one reader step");
+        assert_eq!((out.delivered, out.changed), (1, true), "peer 5 pushes 1 to peer 6");
+        assert!(e.run_until_fixpoint(1000).converged);
+        for (_, st) in e.iter() {
+            assert!(st.known.contains(&1));
         }
     }
 
@@ -325,10 +528,11 @@ mod tests {
     fn insert_and_remove_nodes() {
         let mut e = engine_with(3);
         let id = Ident::from_raw(999_999);
-        assert!(e.insert_node(id, vec![1]));
-        assert!(!e.insert_node(id, vec![2]), "duplicate rejected");
+        let lone = |v| Gossip { succ: id, known: vec![v] };
+        assert!(e.insert_node(id, lone(1)));
+        assert!(!e.insert_node(id, lone(2)), "duplicate rejected");
         assert_eq!(e.len(), 4);
-        assert_eq!(e.remove_node(id), Some(vec![1]));
+        assert_eq!(e.remove_node(id), Some(lone(1)));
         assert_eq!(e.remove_node(id), None);
         assert_eq!(e.len(), 3);
     }
@@ -337,7 +541,8 @@ mod tests {
     fn ids_stay_sorted() {
         let mut e = Engine::new(MinGossip, 1);
         for raw in [50u64, 10, 90, 30] {
-            e.insert_node(Ident::from_raw(raw), vec![raw]);
+            let id = Ident::from_raw(raw);
+            e.insert_node(id, Gossip { succ: id, known: vec![raw] });
         }
         let ids: Vec<u64> = e.ids().iter().map(|i| i.raw()).collect();
         assert_eq!(ids, vec![10, 30, 50, 90]);
@@ -390,6 +595,11 @@ mod tests {
         assert!(report.converged);
         assert_eq!(report.rounds, 2);
         assert_eq!(report.total_messages, 2 * (1 + 1), "delivered and dropped both count");
+
+        // At the fixpoint nobody steps, yet the tallies still count the
+        // messages every round sends.
+        let out = e.round();
+        assert_eq!(out, RoundOutcome { changed: false, delivered: 1, dropped: 1, stepped: 0 });
     }
 
     #[test]
@@ -435,10 +645,11 @@ mod tests {
         let out = e.round_with_schedule(|id| id == only);
         // exactly one node gossiped: at most one message
         assert!(out.delivered <= 1, "only the scheduled node may send");
+        assert_eq!(out.stepped, 1);
         // an empty schedule is a no-op round
         let before: Vec<_> = e.iter().map(|(i, s)| (i, s.clone())).collect();
         let out = e.round_with_schedule(|_| false);
-        assert_eq!(out.delivered + out.dropped, 0);
+        assert_eq!(out.delivered + out.dropped + out.stepped, 0);
         assert!(!out.changed);
         let after: Vec<_> = e.iter().map(|(i, s)| (i, s.clone())).collect();
         assert_eq!(before, after);
@@ -465,7 +676,7 @@ mod tests {
             }
         }
         for (_, st) in e.iter() {
-            assert!(st.contains(&100), "everyone learns the global minimum");
+            assert!(st.known.contains(&100), "everyone learns the global minimum");
         }
     }
 }

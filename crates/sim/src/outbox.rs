@@ -9,7 +9,7 @@ use rechord_id::Ident;
 /// receiving protocol's business.
 #[derive(Debug)]
 pub struct Outbox<M> {
-    msgs: Vec<(Ident, M)>,
+    pub(crate) msgs: Vec<(Ident, M)>,
 }
 
 impl<M> Outbox<M> {
