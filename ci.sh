@@ -59,6 +59,14 @@ run cargo run --release --offline --bin repro -- sweep --smoke
 #     corrupted fraction, and nothing panics at fraction 1/2.
 run cargo run --release --offline --bin repro -- adversary --smoke
 
+# 3e. The ten figure/theorem experiments at two trials per point. Each
+#     asserts what must hold (convergence, milestones observed before the
+#     fixpoint, clean audits, routing success), and together they run every
+#     observer of the engine's fixpoint loop that repro has.
+for e in fig5 fig6 fig7 lemma31 convergence join_leave phases ablation baseline_compare routing; do
+  run env RECHORD_TRIALS=2 cargo run --release --offline -q --bin repro -- "$e"
+done
+
 # 3f. The benchmark package is outside the workspace, so nothing above
 #     compiles it: its smoke run fails here on any change to a signature,
 #     struct field or trait method it builds against, or to a fingerprint

@@ -36,21 +36,6 @@ impl Stats {
             if n % 2 == 1 { sorted[n / 2] } else { (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0 };
         Stats { n, mean, std_dev: var.sqrt(), min: sorted[0], max: sorted[n - 1], median }
     }
-
-    /// Convenience: statistics of an iterator of counts.
-    pub fn from_counts(xs: impl IntoIterator<Item = usize>) -> Self {
-        let v: Vec<f64> = xs.into_iter().map(|x| x as f64).collect();
-        Self::from_slice(&v)
-    }
-
-    /// Standard error of the mean.
-    pub fn sem(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.std_dev / (self.n as f64).sqrt()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -76,19 +61,5 @@ mod tests {
         assert_eq!(s.std_dev, 0.0);
         assert_eq!(s.median, 3.5);
         assert_eq!(Stats::from_slice(&[]), Stats::default());
-    }
-
-    #[test]
-    fn from_counts_matches() {
-        let a = Stats::from_counts([1usize, 2, 3]);
-        let b = Stats::from_slice(&[1.0, 2.0, 3.0]);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sem_shrinks_with_n() {
-        let small = Stats::from_slice(&[1.0, 3.0]);
-        let big = Stats::from_slice(&[1.0, 3.0, 1.0, 3.0, 1.0, 3.0, 1.0, 3.0]);
-        assert!(big.sem() < small.sem());
     }
 }

@@ -9,8 +9,9 @@ use rechord_bench::{
 use rechord_chord::ChordNetwork;
 use rechord_core::ablation::{run_ablated, RuleMask};
 use rechord_core::network::ReChordNetwork;
-use rechord_core::phases::run_with_timeline;
-use rechord_core::projection::{chord_coverage, Projection};
+use rechord_core::oracle::StableTopology;
+use rechord_core::phases::PhaseStatus;
+use rechord_core::stability::Comparison;
 use rechord_id::{hash_address, Ident};
 use rechord_routing::{route, RoutingTable};
 use rechord_topology::TopologyKind;
@@ -122,7 +123,14 @@ pub fn fig6(h: &Harness) {
         |n, seed| {
             let topo = TopologyKind::Random.generate(n, seed);
             let mut net = ReChordNetwork::from_topology(&topo, 1);
-            let (report, almost) = net.run_until_stable_tracking_almost(MAX_ROUNDS);
+            let target = StableTopology::new(&topo.ids);
+            let mut almost = None;
+            let report =
+                net.engine_mut().run_until_fixpoint_observed(MAX_ROUNDS, |round, _, engine| {
+                    if almost.is_none() && Comparison::new(&target, engine).almost_stable() {
+                        almost = Some(round);
+                    }
+                });
             assert!(report.converged, "n={n} seed={seed}");
             let almost = almost.expect("stable ⇒ almost-stable observed");
             [report.rounds_to_stable() as f64, almost as f64]
@@ -327,21 +335,18 @@ pub fn convergence(h: &Harness) {
 fn churn_cost(n: usize, seed: u64, event: impl FnOnce(&mut ReChordNetwork)) -> (f64, f64, f64) {
     let (mut net, _) = stabilized_random(n, seed);
     event(&mut net);
-    let (mut integ, mut rounds, mut steps) = (None, 0u64, 0usize);
-    loop {
-        if integ.is_none() && net.is_almost_stable() {
-            integ = Some(rounds);
-        }
-        let out = net.round();
+    let target = StableTopology::new(&net.real_ids());
+    let mut integ = Comparison::new(&target, net.engine()).almost_stable().then_some(0);
+    let mut steps = 0;
+    let report = net.engine_mut().run_until_fixpoint_observed(MAX_ROUNDS, |round, out, engine| {
         steps += out.stepped;
-        if !out.changed {
-            break;
+        if integ.is_none() && Comparison::new(&target, engine).almost_stable() {
+            integ = Some(round);
         }
-        rounds += 1;
-        assert!(rounds < MAX_ROUNDS, "n={n} seed={seed} did not re-stabilize");
-    }
+    });
+    assert!(report.converged, "n={n} seed={seed} did not re-stabilize");
     let integ = integ.expect("the fixpoint is almost stable");
-    (integ as f64, rounds as f64, steps as f64)
+    (integ as f64, report.rounds_to_stable() as f64, steps as f64)
 }
 
 /// **Theorems 4.1 / 4.2** — re-stabilization cost of isolated churn:
@@ -454,10 +459,21 @@ pub fn phases(h: &Harness) {
         |n, seed| {
             let topo = TopologyKind::Random.generate(n, seed);
             let mut net = ReChordNetwork::from_topology(&topo, 1);
-            let tl = run_with_timeline(&mut net, MAX_ROUNDS);
-            let first = |k: usize| tl.first_true[k].expect("every phase holds at the fixpoint");
-            let stable = tl.stable_round.expect("must converge");
-            [first(0), first(1), first(2), first(3), first(4), stable].map(|round| round as f64)
+            let target = StableTopology::new(&topo.ids);
+            let mut first = [None; 5];
+            let report =
+                net.engine_mut().run_until_fixpoint_observed(MAX_ROUNDS, |round, _, engine| {
+                    for (first, holds) in
+                        first.iter_mut().zip(PhaseStatus::new(&target, engine).flags())
+                    {
+                        if holds {
+                            first.get_or_insert(round);
+                        }
+                    }
+                });
+            assert!(report.converged, "must converge");
+            let first = first.map(|round| round.expect("every phase holds at the fixpoint") as f64);
+            [first[0], first[1], first[2], first[3], first[4], report.rounds as f64]
         },
     );
 
@@ -575,7 +591,7 @@ pub fn baseline_compare(h: &Harness) {
             let topo = TopologyKind::DoubleRingBridge.generate(n, seed);
 
             // classic Chord from the established loopy pointer state
-            let mut chord = ChordNetwork::loopy_double_ring(&topo.ids, 1);
+            let mut chord = ChordNetwork::loopy_double_ring(&topo.ids);
             chord.run_until_stable(MAX_ROUNDS);
             let keys: Vec<Ident> = (0..32u64)
                 .map(|k| Ident::from_raw(k.wrapping_mul(0x0809_7a5b_3c2d_1e0f)))
@@ -638,8 +654,7 @@ pub fn routing(h: &Harness) {
         |n| 0x40u64 + n as u64 * 313,
         |n, seed| {
             let (net, _) = stabilized_random(n, seed);
-            let projection = Projection::from_overlay(&net.snapshot());
-            let coverage = chord_coverage(&projection, &net.real_ids());
+            let coverage = net.audit().chord;
             let t = RoutingTable::from_network(&net);
             let peers = t.peers().to_vec();
             let (mut hops_sum, mut hops_max, mut successes) = (0usize, 0usize, 0usize);

@@ -15,8 +15,8 @@ pub struct ChordNetwork {
 impl ChordNetwork {
     /// Seeds each peer's bootstrap knowledge with the topology's directed
     /// edges — the same initial information Re-Chord receives.
-    pub fn from_topology(topology: &InitialTopology, threads: usize) -> Self {
-        let mut engine = Engine::new(ChordProtocol, threads);
+    pub fn from_topology(topology: &InitialTopology) -> Self {
+        let mut engine = Engine::new(ChordProtocol);
         for &id in &topology.ids {
             engine.insert_node(id, ChordState::with_contacts([]));
         }
@@ -37,12 +37,12 @@ impl ChordNetwork {
     /// the dormant bridge and never merges the cycles; Re-Chord, seeded with
     /// the identical knowledge graph
     /// ([`rechord_topology::TopologyKind::DoubleRingBridge`]), recovers.
-    pub fn loopy_double_ring(ids: &[Ident], threads: usize) -> Self {
+    pub fn loopy_double_ring(ids: &[Ident]) -> Self {
         let mut sorted: Vec<Ident> = ids.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
         let n = sorted.len();
-        let mut engine = Engine::new(ChordProtocol, threads);
+        let mut engine = Engine::new(ChordProtocol);
         for (k, &id) in sorted.iter().enumerate() {
             let mut st = ChordState::with_contacts([]);
             if n > 1 {
@@ -151,7 +151,7 @@ mod tests {
     #[test]
     fn healthy_bootstrap_forms_one_ring() {
         let topo = TopologyKind::SortedLine.generate(10, 3);
-        let mut net = ChordNetwork::from_topology(&topo, 1);
+        let mut net = ChordNetwork::from_topology(&topo);
         let report = net.run_until_stable(2_000);
         assert!(report.converged);
         assert_eq!(net.ring_count(), 1, "sorted-line bootstrap must form one ring");
@@ -166,7 +166,7 @@ mod tests {
         // cycles. Classic stabilize/notify cannot merge them, even though a
         // bridge contact keeps the state weakly connected.
         let topo = TopologyKind::Random.generate(16, 5);
-        let mut net = ChordNetwork::loopy_double_ring(&topo.ids, 1);
+        let mut net = ChordNetwork::loopy_double_ring(&topo.ids);
         assert_eq!(net.ring_count(), 2, "initial state is two rings");
         let report = net.run_until_stable(3_000);
         assert!(report.converged, "chord quiesces...");
@@ -183,7 +183,7 @@ mod tests {
         // join-style bootstrap may merge the two halves — the weakness is
         // specifically about repairing an established loopy pointer state.
         let topo = TopologyKind::DoubleRingBridge.generate(16, 5);
-        let mut net = ChordNetwork::from_topology(&topo, 1);
+        let mut net = ChordNetwork::from_topology(&topo);
         let report = net.run_until_stable(3_000);
         assert!(report.converged);
         assert!(net.ring_count() >= 1);
@@ -192,7 +192,7 @@ mod tests {
     #[test]
     fn join_and_crash_maintain_single_ring() {
         let topo = TopologyKind::SortedLine.generate(8, 9);
-        let mut net = ChordNetwork::from_topology(&topo, 1);
+        let mut net = ChordNetwork::from_topology(&topo);
         net.run_until_stable(2_000);
         let joiner = Ident::from_raw(0xaaaa_bbbb_cccc_dddd);
         assert!(net.join_via(joiner, net.real_ids()[0]));

@@ -156,7 +156,7 @@ mod tests {
     /// bootstrap).
     fn ring_engine(xs: &[f64]) -> Engine<ChordProtocol> {
         let v = ids(xs);
-        let mut e = Engine::new(ChordProtocol, 1);
+        let mut e = Engine::new(ChordProtocol);
         for (k, &id) in v.iter().enumerate() {
             let next = v[(k + 1) % v.len()];
             e.insert_node(id, ChordState::with_contacts([next]));

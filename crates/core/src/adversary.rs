@@ -28,6 +28,7 @@
 //! bit-identical to a run with no adversary installed at all).
 
 use crate::network::ReChordNetwork;
+use crate::oracle::StableTopology;
 use rechord_graph::NodeRef;
 use rechord_id::Ident;
 use std::collections::{BTreeMap, BTreeSet};
@@ -334,25 +335,15 @@ pub struct AdversaryOutcome {
 }
 
 /// Checks each honest peer's level-0 closest-real-neighbor registers
-/// against the oracle: the immediate neighbors in the ascending order of
-/// all live peers (`None` at the extremes — rule 3 is linear; rule 5
-/// closes the wrap with ring edges, not registers).
+/// against the stable topology of all live peers: the immediate neighbors
+/// in their ascending order (`None` at the extremes — rule 3 is linear;
+/// rule 5 closes the wrap with ring edges, not registers).
 pub fn honest_ring_ok(net: &ReChordNetwork, byzantine: &BTreeSet<Ident>) -> bool {
-    let ids = net.real_ids();
-    for (i, &u) in ids.iter().enumerate() {
-        if byzantine.contains(&u) {
-            continue;
-        }
-        let Some(level0) = net.engine().state(u).and_then(|st| st.level(0)) else {
-            return false;
-        };
-        let want_rl = if i == 0 { None } else { Some(NodeRef::real(ids[i - 1])) };
-        let want_rr = if i + 1 == ids.len() { None } else { Some(NodeRef::real(ids[i + 1])) };
-        if level0.rl != want_rl || level0.rr != want_rr {
-            return false;
-        }
-    }
-    true
+    let target = StableTopology::new(&net.real_ids());
+    net.engine().iter().filter(|(u, _)| !byzantine.contains(u)).all(|(u, st)| {
+        let want = target.targets(&NodeRef::real(u)).expect("every live peer is in the target");
+        st.level(0).is_some_and(|level0| level0.rl == want.rl && level0.rr == want.rr)
+    })
 }
 
 /// Runs the full protocol on a random weakly connected instance with

@@ -47,11 +47,12 @@
 //!   `rechord_sim::SyncProtocol`;
 //! * [`network`] — [`ReChordNetwork`], the user-facing handle: build from an
 //!   initial topology, run to stability, join/leave/crash peers, snapshot;
-//! * [`oracle`] — the *target* stable topology computed directly from the
-//!   identifier set (what the protocol must converge to), plus the Chord
-//!   edge set for Fact 2.1;
-//! * [`stability`] — stable / almost-stable checks and the stable-state
-//!   audit report;
+//! * [`oracle`] — the *target* stable topology, one value computed once
+//!   from the identifier set (what the protocol must converge to), plus the
+//!   Chord edge set for Fact 2.1;
+//! * [`stability`] — the one comparison of peer states with that target:
+//!   almost-stability and the stable-state audit report;
+//! * [`phases`] — the §3.1 proof phases, read off the same comparison;
 //! * [`projection`] — `E_ReChord = {(u,v) ∈ V_r² : ∃i (u_i,v) ∈ E_u ∪ E_r}`;
 //! * [`metrics`] — the quantities plotted in the paper's Figures 5–7;
 //! * [`churn`] — join / graceful-leave / crash drivers (§4);

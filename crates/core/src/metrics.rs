@@ -1,7 +1,10 @@
 //! The quantities the paper's evaluation plots (Figures 5–7, Lemma 3.1).
 
+use crate::network::snapshot_states;
+use crate::protocol::ReChordProtocol;
 use rechord_graph::{EdgeCounts, OverlayGraph};
 use rechord_id::Ident;
+use rechord_sim::Engine;
 
 /// A measurement of one network snapshot.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -20,6 +23,18 @@ pub struct NetworkMetrics {
 }
 
 impl NetworkMetrics {
+    /// Measures the live state of `engine`'s peers.
+    pub fn of(engine: &Engine<ReChordProtocol>) -> Self {
+        let mut virtuals: Vec<Ident> = engine
+            .iter()
+            .flat_map(|(id, st)| {
+                st.levels.keys().filter(|&&l| l > 0).map(move |&l| id.virtual_position(l))
+            })
+            .collect();
+        virtuals.sort_unstable();
+        measure(&snapshot_states(engine.iter()), engine.ids(), &virtuals)
+    }
+
     /// Figure 5's "virtual nodes" series.
     pub fn total_nodes(&self) -> usize {
         self.real_nodes + self.virtual_nodes

@@ -1,8 +1,9 @@
 //! [`ReChordNetwork`]: the user-facing handle on a running Re-Chord overlay.
 
-use crate::metrics::{measure, NetworkMetrics};
+use crate::metrics::NetworkMetrics;
+use crate::oracle::StableTopology;
 use crate::protocol::ReChordProtocol;
-use crate::stability::{audit, is_almost_stable, StableStateAudit};
+use crate::stability::StableStateAudit;
 use crate::state::PeerState;
 use rechord_graph::{Edge, EdgeKind, NodeRef, OverlayGraph};
 use rechord_id::Ident;
@@ -12,8 +13,14 @@ use rechord_topology::InitialTopology;
 /// A Re-Chord overlay network under simulation.
 ///
 /// Wraps the synchronous engine with Re-Chord-specific operations: building
-/// from an initial topology, driving to stability, probing the almost-stable
-/// milestone, snapshots/metrics, and (via [`crate::churn`]) joins and leaves.
+/// from an initial topology, driving to stability, snapshots, metrics and
+/// the audit, and (via [`crate::churn`]) joins and leaves. A driver that
+/// watches a run round by round observes the engine's one fixpoint loop,
+/// [`Engine::run_until_fixpoint_observed`], through
+/// [`ReChordNetwork::engine_mut`].
+///
+/// The `threads` argument of the constructors is accepted and ignored:
+/// rounds are evaluated serially.
 pub struct ReChordNetwork {
     engine: Engine<ReChordProtocol>,
 }
@@ -42,10 +49,10 @@ impl ReChordNetwork {
     /// (see [`crate::ablation`]).
     pub fn from_topology_with_mask(
         topology: &InitialTopology,
-        threads: usize,
+        _threads: usize,
         mask: crate::ablation::RuleMask,
     ) -> Self {
-        let mut engine = Engine::new(ReChordProtocol::with_mask(mask), threads);
+        let mut engine = Engine::new(ReChordProtocol::with_mask(mask));
         for &id in &topology.ids {
             engine.insert_node(id, PeerState::new());
         }
@@ -65,9 +72,9 @@ impl ReChordNetwork {
     /// legal input, as long as the peers are weakly connected.
     pub fn from_raw_states(
         states: impl IntoIterator<Item = (Ident, PeerState)>,
-        threads: usize,
+        _threads: usize,
     ) -> Self {
-        let mut engine = Engine::new(ReChordProtocol::full(), threads);
+        let mut engine = Engine::new(ReChordProtocol::full());
         for (id, st) in states {
             engine.insert_node(id, st);
         }
@@ -122,90 +129,19 @@ impl ReChordNetwork {
         self.engine.run_until_fixpoint(max_rounds)
     }
 
-    /// Runs to the fixpoint while probing for the almost-stable milestone.
-    /// Returns the fixpoint report and the first round (1-based, if any) at
-    /// which all desired edges existed — the two series of Figure 6.
-    pub fn run_until_stable_tracking_almost(
-        &mut self,
-        max_rounds: u64,
-    ) -> (FixpointReport, Option<u64>) {
-        let mut almost_round: Option<u64> = None;
-        let ids_hint = self.real_ids();
-        let mut round = 0u64;
-        let mut total_messages = 0usize;
-        loop {
-            if round >= max_rounds {
-                return (
-                    FixpointReport { rounds: max_rounds, converged: false, total_messages },
-                    almost_round,
-                );
-            }
-            let out = self.engine.round();
-            round += 1;
-            total_messages += out.delivered + out.dropped;
-            if almost_round.is_none() && is_almost_stable(&self.snapshot(), &ids_hint) {
-                almost_round = Some(round);
-            }
-            if !out.changed {
-                return (
-                    FixpointReport { rounds: round, converged: true, total_messages },
-                    almost_round,
-                );
-            }
-        }
-    }
-
-    /// Is the current state almost stable (all desired edges exist)?
-    pub fn is_almost_stable(&self) -> bool {
-        is_almost_stable(&self.snapshot(), &self.real_ids())
-    }
-
-    /// Runs until the almost-stable milestone — every desired edge exists —
-    /// and returns the number of rounds taken (0 when already there), or
-    /// `None` on budget exhaustion. This is the structural-integration
-    /// criterion of Theorems 4.1/4.2 ("every node has stable next and next
-    /// real neighbors and all virtual nodes are created"); the full
-    /// fixpoint additionally waits for the in-flight edge streams to settle.
-    pub fn run_until_almost_stable(&mut self, max_rounds: u64) -> Option<u64> {
-        if self.is_almost_stable() {
-            return Some(0);
-        }
-        for round in 1..=max_rounds {
-            self.engine.round();
-            if self.is_almost_stable() {
-                return Some(round);
-            }
-        }
-        None
-    }
-
     /// Flattens the current global state into an [`OverlayGraph`].
     pub fn snapshot(&self) -> OverlayGraph {
         snapshot_states(self.engine.iter())
     }
 
-    /// Positions of all *simulated* virtual nodes.
-    pub fn virtual_positions(&self) -> Vec<Ident> {
-        let mut out = Vec::new();
-        for (id, st) in self.engine.iter() {
-            for &lvl in st.levels.keys() {
-                if lvl > 0 {
-                    out.push(id.virtual_position(lvl));
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
     /// Measures the current state (Figure 5/7 series, Lemma 3.1 gaps).
     pub fn metrics(&self) -> NetworkMetrics {
-        measure(&self.snapshot(), &self.real_ids(), &self.virtual_positions())
+        NetworkMetrics::of(&self.engine)
     }
 
     /// Audits the current state against the oracle topology.
     pub fn audit(&self) -> StableStateAudit {
-        audit(&self.snapshot(), &self.real_ids())
+        StableStateAudit::new(&StableTopology::new(self.engine.ids()), &self.engine)
     }
 
     /// Installs per-peer behavior policies ([`crate::adversary`]); crimes
@@ -251,6 +187,7 @@ pub fn snapshot_states<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stability::Comparison;
     use rechord_topology::TopologyKind;
 
     #[test]
@@ -293,7 +230,13 @@ mod tests {
     fn almost_stable_no_later_than_stable() {
         let topo = TopologyKind::Random.generate(6, 3);
         let mut net = ReChordNetwork::from_topology(&topo, 1);
-        let (report, almost) = net.run_until_stable_tracking_almost(5_000);
+        let target = StableTopology::new(&topo.ids);
+        let mut almost = None;
+        let report = net.engine_mut().run_until_fixpoint_observed(5_000, |round, _, engine| {
+            if almost.is_none() && Comparison::new(&target, engine).almost_stable() {
+                almost = Some(round);
+            }
+        });
         assert!(report.converged);
         let almost = almost.expect("stable implies almost-stable was seen");
         assert!(almost <= report.rounds);

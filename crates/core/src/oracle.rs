@@ -1,86 +1,199 @@
 //! The oracle: what the stable Re-Chord topology *must* look like, computed
 //! directly (non-distributedly) from the set of real identifiers.
 //!
-//! Used to (a) decide "almost stable" (Figure 6's early milestone: all
-//! desired edges exist), (b) audit the reached fixpoint, and (c) state the
-//! Chord edge set for the Fact 2.1 subgraph check.
+//! The stable topology of an identifier set is unique (paper §2.2), so it is
+//! one value, [`StableTopology`], built once per identifier set: the level
+//! count `m` of every peer, then every node, then each node's desired
+//! unmarked targets, the persistent ring pair and the Chord edge set. A run
+//! over a fixed peer set builds it once and holds every round's peer states
+//! against it ([`crate::stability::Comparison`]); that comparison decides
+//! almost-stability (Figure 6's milestone), the §3.1 phases and the
+//! stable-state audit. The Chord edges state Fact 2.1's subgraph check.
 
-use rechord_graph::{Edge, NodeRef, OverlayGraph};
+use rechord_graph::{Edge, NodeRef};
 use rechord_id::{successor_index, Ident};
-use std::collections::BTreeMap;
 
-/// The stable-state virtual level count `m` of each peer: the finger level
-/// of its cyclic gap to the next real node (paper §2.2; README, Interpretations A1).
-/// A single peer has `m = 1`.
-pub fn stable_levels(real_ids: &[Ident]) -> BTreeMap<Ident, u8> {
-    let mut sorted: Vec<Ident> = real_ids.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    let n = sorted.len();
-    let mut out = BTreeMap::new();
-    for (k, &u) in sorted.iter().enumerate() {
-        let m = if n == 1 {
-            1
-        } else {
-            let succ = sorted[(k + 1) % n];
-            Ident::finger_level_for_gap(u.dist_cw(succ))
+/// The desired unmarked targets of one node of the stable topology: its
+/// closest left and right node and its closest left and right *real* node,
+/// in the linear order on `[0,1)` (paper §2.2's stable-state description).
+/// Extremal nodes lack the respective side.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Targets {
+    /// The closest node to the left.
+    pub pred: Option<NodeRef>,
+    /// The closest node to the right.
+    pub succ: Option<NodeRef>,
+    /// The closest real node to the left (the stable `rl`).
+    pub rl: Option<NodeRef>,
+    /// The closest real node to the right (the stable `rr`).
+    pub rr: Option<NodeRef>,
+}
+
+impl Targets {
+    /// The distinct targets, ascending by ring position. `rl` lies at or
+    /// left of `pred` and `rr` at or right of `succ`; each coincides with
+    /// its neighbour when that neighbour is real.
+    pub fn distinct(&self) -> impl Iterator<Item = NodeRef> {
+        let rl = self.rl.filter(|&r| self.pred != Some(r));
+        let rr = self.rr.filter(|&r| self.succ != Some(r));
+        [rl, self.pred, self.succ, rr].into_iter().flatten()
+    }
+
+    /// Is `to` one of the targets?
+    pub fn contains(&self, to: &NodeRef) -> bool {
+        [self.pred, self.succ, self.rl, self.rr].contains(&Some(*to))
+    }
+}
+
+/// The stable topology of one identifier set.
+///
+/// ```
+/// use rechord_core::oracle::StableTopology;
+/// use rechord_id::Ident;
+///
+/// // Gaps 0.3 and 0.7: peer 0.0 simulates levels 0..=2, peer 0.3 levels 0..=1.
+/// let target = StableTopology::new(&[Ident::from_f64(0.0), Ident::from_f64(0.3)]);
+/// assert_eq!(target.nodes().len(), 5);
+/// assert_eq!(target.targets_of(Ident::from_f64(0.0)).map(<[_]>::len), Some(3));
+/// ```
+#[derive(Clone, Debug)]
+pub struct StableTopology {
+    /// The real identifiers, ascending and distinct.
+    ids: Vec<Ident>,
+    /// Per peer (aligned with `ids`), the targets of its nodes by level
+    /// `0..=m`.
+    targets: Vec<Vec<Targets>>,
+    /// Every node, real and virtual, ascending by ring position.
+    nodes: Vec<NodeRef>,
+    /// The Chord edge set, sorted.
+    chord: Vec<ChordEdge>,
+}
+
+impl StableTopology {
+    /// Computes the stable topology of `real_ids` (any order; duplicates
+    /// count once).
+    pub fn new(real_ids: &[Ident]) -> Self {
+        let mut ids = real_ids.to_vec();
+        ids.sort_unstable();
+        ids.dedup();
+        let n = ids.len();
+        // Each peer's `m` is the finger level of its cyclic gap to the next
+        // real node (README, Interpretations A1); a single peer has m = 1.
+        let levels: Vec<u8> = (0..n)
+            .map(|k| {
+                if n == 1 {
+                    1
+                } else {
+                    Ident::finger_level_for_gap(ids[k].dist_cw(ids[(k + 1) % n]))
+                }
+            })
+            .collect();
+        let mut nodes: Vec<NodeRef> = ids
+            .iter()
+            .zip(&levels)
+            .flat_map(|(&owner, &m)| (0..=m).map(move |level| NodeRef { owner, level }))
+            .collect();
+        nodes.sort_unstable();
+
+        let mut targets: Vec<Vec<Targets>> =
+            levels.iter().map(|&m| vec![Targets::default(); usize::from(m) + 1]).collect();
+        let slot = |x: NodeRef| {
+            let peer = ids.binary_search(&x.owner).expect("every node's owner is a peer");
+            (peer, usize::from(x.level))
         };
-        out.insert(u, m);
-    }
-    out
-}
+        let mut last_real = None;
+        for (k, &x) in nodes.iter().enumerate() {
+            let (peer, level) = slot(x);
+            let t = &mut targets[peer][level];
+            t.pred = k.checked_sub(1).map(|j| nodes[j]);
+            t.succ = nodes.get(k + 1).copied();
+            t.rl = last_real;
+            if x.is_real() {
+                last_real = Some(x);
+            }
+        }
+        let mut next_real = None;
+        for &x in nodes.iter().rev() {
+            let (peer, level) = slot(x);
+            targets[peer][level].rr = next_real;
+            if x.is_real() {
+                next_real = Some(x);
+            }
+        }
 
-/// Every node (real and virtual) of the stable network, ascending by ring
-/// position.
-pub fn stable_nodes(real_ids: &[Ident]) -> Vec<NodeRef> {
-    let levels = stable_levels(real_ids);
-    let mut nodes: Vec<NodeRef> = Vec::new();
-    for (&u, &m) in &levels {
-        for lvl in 0..=m {
-            nodes.push(NodeRef { owner: u, level: lvl });
+        // Chord (paper §1.1): successor and predecessor edges forming the
+        // ring, plus the fingers `p_i(v) = argmin{ w : h(w) >= h(v) + 1/2^i
+        // (mod 1) }` for `i = 1..=m(v)`; a finger that resolves to `v`
+        // itself is skipped.
+        let mut chord = Vec::new();
+        if n >= 2 {
+            for (k, (&u, &m)) in ids.iter().zip(&levels).enumerate() {
+                let succ = ids[(k + 1) % n];
+                let pred = ids[(k + n - 1) % n];
+                chord.push(ChordEdge { from: u, to: succ, kind: ChordEdgeKind::Successor });
+                chord.push(ChordEdge { from: u, to: pred, kind: ChordEdgeKind::Predecessor });
+                for i in 1..=m {
+                    let at = successor_index(&ids, u.virtual_position(i));
+                    let finger = ids[at.expect("two or more peers")];
+                    if finger != u {
+                        chord.push(ChordEdge {
+                            from: u,
+                            to: finger,
+                            kind: ChordEdgeKind::Finger(i),
+                        });
+                    }
+                }
+            }
+            chord.sort_unstable();
+            chord.dedup();
         }
+        StableTopology { ids, targets, nodes, chord }
     }
-    nodes.sort_unstable();
-    nodes
-}
 
-/// The **desired unmarked edges** of the stable state: every node points at
-/// its closest left and right node and its closest left and right *real*
-/// node, in the linear order on `[0,1)` (paper §2.2's stable-state
-/// description). Extremal nodes lack the respective side.
-pub fn desired_unmarked(real_ids: &[Ident]) -> OverlayGraph {
-    let nodes = stable_nodes(real_ids);
-    let mut g = OverlayGraph::new();
-    for n in &nodes {
-        g.add_node(*n);
+    /// Every node (real and virtual), ascending by ring position.
+    pub fn nodes(&self) -> &[NodeRef] {
+        &self.nodes
     }
-    for (k, &x) in nodes.iter().enumerate() {
-        if k > 0 {
-            g.add_edge(Edge::unmarked(x, nodes[k - 1]));
-        }
-        if k + 1 < nodes.len() {
-            g.add_edge(Edge::unmarked(x, nodes[k + 1]));
-        }
-        if let Some(rl) = nodes[..k].iter().rev().find(|r| r.is_real()) {
-            g.add_edge(Edge::unmarked(x, *rl));
-        }
-        if let Some(rr) = nodes[k + 1..].iter().find(|r| r.is_real()) {
-            g.add_edge(Edge::unmarked(x, *rr));
-        }
-    }
-    g
-}
 
-/// The persistent stable ring edges: the global minimum holds a marked edge
-/// to the global maximum and vice versa (rule 5's fixpoint; the in-transit
-/// re-creation stream is *extra*, not desired).
-pub fn desired_ring_pair(real_ids: &[Ident]) -> Option<(Edge, Edge)> {
-    let nodes = stable_nodes(real_ids);
-    let (first, last) = (nodes.first()?, nodes.last()?);
-    if first == last {
-        return None;
+    /// Every peer with the targets of its nodes by level `0..=m`, ascending
+    /// by identifier.
+    pub fn peers(&self) -> impl Iterator<Item = (Ident, &[Targets])> + '_ {
+        self.ids.iter().copied().zip(self.targets.iter().map(Vec::as_slice))
     }
-    Some((Edge::ring(*first, *last), Edge::ring(*last, *first)))
+
+    /// The targets of `owner`'s nodes by level `0..=m`; `None` if `owner` is
+    /// not one of the peers.
+    pub fn targets_of(&self, owner: Ident) -> Option<&[Targets]> {
+        let peer = self.ids.binary_search(&owner).ok()?;
+        Some(&self.targets[peer])
+    }
+
+    /// The targets of `node`; `None` if it is not a node of the topology.
+    pub fn targets(&self, node: &NodeRef) -> Option<&Targets> {
+        self.targets_of(node.owner)?.get(usize::from(node.level))
+    }
+
+    /// The **desired unmarked edges**: every node to each of its targets,
+    /// by source position, then target.
+    pub fn desired_unmarked(&self) -> impl Iterator<Item = Edge> + '_ {
+        self.nodes.iter().flat_map(move |&from| {
+            let targets = self.targets(&from).expect("every node has targets");
+            targets.distinct().map(move |to| Edge::unmarked(from, to))
+        })
+    }
+
+    /// The persistent stable ring edges: the global minimum holds a marked
+    /// edge to the global maximum and vice versa (rule 5's fixpoint; the
+    /// in-transit re-creation stream is *extra*, not desired).
+    pub fn ring_pair(&self) -> Option<(Edge, Edge)> {
+        let (first, last) = (*self.nodes.first()?, *self.nodes.last()?);
+        (first != last).then(|| (Edge::ring(first, last), Edge::ring(last, first)))
+    }
+
+    /// The classic Chord edge set over the peers (paper §1.1), sorted.
+    pub fn chord_edges(&self) -> &[ChordEdge] {
+        &self.chord
+    }
 }
 
 /// The role a Chord edge plays (§1.1 of the paper: "Chord has two kinds of
@@ -119,70 +232,34 @@ impl ChordEdge {
     }
 }
 
-/// The classic Chord edge set over the real identifiers (paper §1.1):
-/// successor and predecessor edges forming the Chord ring, plus the fingers
-/// `p_i(v) = argmin{ w : h(w) >= h(v) + 1/2^i (mod 1) }` for `i = 1..=m(v)`
-/// (cyclic; a finger that resolves to `v` itself is skipped).
-pub fn chord_edges(real_ids: &[Ident]) -> Vec<ChordEdge> {
-    let mut sorted: Vec<Ident> = real_ids.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    let n = sorted.len();
-    if n < 2 {
-        return Vec::new();
-    }
-    let levels = stable_levels(&sorted);
-    let mut edges = Vec::new();
-    for (k, &u) in sorted.iter().enumerate() {
-        let succ = sorted[(k + 1) % n];
-        let pred = sorted[(k + n - 1) % n];
-        edges.push(ChordEdge { from: u, to: succ, kind: ChordEdgeKind::Successor });
-        edges.push(ChordEdge { from: u, to: pred, kind: ChordEdgeKind::Predecessor });
-        for i in 1..=levels[&u] {
-            let target = u.virtual_position(i);
-            let finger = cyclic_successor(&sorted, target);
-            if finger != u {
-                edges.push(ChordEdge { from: u, to: finger, kind: ChordEdgeKind::Finger(i) });
-            }
-        }
-    }
-    edges.sort_unstable();
-    edges.dedup();
-    edges
-}
-
-/// The first identifier at or clockwise-after `point` (cyclic successor).
-/// Panics on an empty slice.
-pub fn cyclic_successor(sorted_ids: &[Ident], point: Ident) -> Ident {
-    sorted_ids[successor_index(sorted_ids, point).expect("cyclic successor of an empty ring")]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rechord_graph::OverlayGraph;
 
     fn ids(xs: &[f64]) -> Vec<Ident> {
         xs.iter().map(|&x| Ident::from_f64(x)).collect()
     }
 
+    /// Each peer's level count `m`, ascending by identifier.
+    fn levels(xs: &[f64]) -> Vec<usize> {
+        StableTopology::new(&ids(xs)).peers().map(|(_, t)| t.len() - 1).collect()
+    }
+
     #[test]
     fn levels_match_finger_condition() {
         // peers at 0.0 and 0.5: both gaps exactly 1/2 → m = 1 for both.
-        let l = stable_levels(&ids(&[0.0, 0.5]));
-        assert_eq!(l[&Ident::from_f64(0.0)], 1);
-        assert_eq!(l[&Ident::from_f64(0.5)], 1);
+        assert_eq!(levels(&[0.0, 0.5]), [1, 1]);
         // peers at 0.0 and 0.3: gap(0.0→0.3)=0.3 → m=2; gap(0.3→0.0)=0.7 → m=1.
-        let l = stable_levels(&ids(&[0.0, 0.3]));
-        assert_eq!(l[&Ident::from_f64(0.0)], 2);
-        assert_eq!(l[&Ident::from_f64(0.3)], 1);
+        assert_eq!(levels(&[0.0, 0.3]), [2, 1]);
         // singleton
-        let l = stable_levels(&ids(&[0.4]));
-        assert_eq!(l[&Ident::from_f64(0.4)], 1);
+        assert_eq!(levels(&[0.4]), [1]);
     }
 
     #[test]
     fn stable_nodes_sorted_and_complete() {
-        let nodes = stable_nodes(&ids(&[0.0, 0.3]));
+        let target = StableTopology::new(&ids(&[0.0, 0.3]));
+        let nodes = target.nodes();
         // 0.0 contributes levels 0,1,2 → positions 0.0, 0.5, 0.25
         // 0.3 contributes levels 0,1  → positions 0.3, 0.8
         assert_eq!(nodes.len(), 5);
@@ -192,32 +269,35 @@ mod tests {
 
     #[test]
     fn desired_unmarked_has_four_edge_classes_per_inner_node() {
-        let g = desired_unmarked(&ids(&[0.0, 0.3, 0.6]));
+        let target = StableTopology::new(&ids(&[0.0, 0.3, 0.6]));
+        let g: OverlayGraph = target.desired_unmarked().collect();
         // every non-extremal node has pred+succ; every node left of a real
         // has an rr, etc. Spot-check an inner real node: 0.3.
         let x = NodeRef::real(Ident::from_f64(0.3));
         let adj = g.adjacency(&x).expect("node present");
         assert!(adj.unmarked.len() >= 2);
         // the extremes have no outer side
-        let nodes = stable_nodes(&ids(&[0.0, 0.3, 0.6]));
-        let first = nodes.first().unwrap();
+        let first = target.nodes().first().unwrap();
         let adj_first = g.adjacency(first).unwrap();
         assert!(adj_first.unmarked.iter().all(|t| t > first), "nothing to the left");
+        // the edges come out distinct and in the graph's own order
+        assert!(target.desired_unmarked().eq(g.edges()));
     }
 
     #[test]
     fn ring_pair_connects_extremes() {
-        let (lo, hi) = desired_ring_pair(&ids(&[0.1, 0.4, 0.9])).unwrap();
+        let (lo, hi) = StableTopology::new(&ids(&[0.1, 0.4, 0.9])).ring_pair().unwrap();
         assert!(lo.from < lo.to);
         assert_eq!(lo.from, hi.to);
         assert_eq!(lo.to, hi.from);
-        assert!(desired_ring_pair(&[]).is_none());
+        assert!(StableTopology::new(&[]).ring_pair().is_none());
     }
 
     #[test]
     fn chord_edges_contain_ring_and_fingers() {
         let v = ids(&[0.0, 0.3, 0.6]);
-        let e = chord_edges(&v);
+        let target = StableTopology::new(&v);
+        let e = target.chord_edges();
         let has = |from: Ident, to: Ident| e.iter().any(|ce| ce.from == from && ce.to == to);
         let (a, b, c) = (v[0], v[1], v[2]);
         // ring (succ + pred both directions)
@@ -248,14 +328,23 @@ mod tests {
 
     #[test]
     fn cyclic_successor_wraps() {
-        let v = ids(&[0.2, 0.5, 0.8]);
-        assert_eq!(cyclic_successor(&v, Ident::from_f64(0.6)), Ident::from_f64(0.8));
-        assert_eq!(cyclic_successor(&v, Ident::from_f64(0.9)), Ident::from_f64(0.2));
-        assert_eq!(cyclic_successor(&v, Ident::from_f64(0.5)), Ident::from_f64(0.5));
+        // Peer 0.1's level-1 finger position 0.6 resolves to 0.65; peer
+        // 0.45's, 0.95, lies past the largest peer and wraps to the smallest.
+        let v = ids(&[0.1, 0.45, 0.65]);
+        let target = StableTopology::new(&v);
+        let finger = |from: Ident| {
+            let edges = target.chord_edges().iter();
+            edges
+                .filter(|ce| ce.from == from && ce.kind == ChordEdgeKind::Finger(1))
+                .map(|ce| ce.to)
+                .next()
+        };
+        assert_eq!(finger(v[0]), Some(v[2]));
+        assert_eq!(finger(v[1]), Some(v[0]));
     }
 
     #[test]
     fn single_peer_has_no_chord_edges() {
-        assert!(chord_edges(&ids(&[0.5])).is_empty());
+        assert!(StableTopology::new(&ids(&[0.5])).chord_edges().is_empty());
     }
 }

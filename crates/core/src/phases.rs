@@ -15,10 +15,18 @@
 //!    match the oracle.
 //! 5. **Finish** (Lemma 3.11): no unnecessary (extra unmarked) edges
 //!    remain.
+//!
+//! Phases 2–5 are read off one [`Comparison`] of the peer states with the
+//! [`StableTopology`]: no pred/succ edge missing, the ring pair present, no
+//! real-target edge missing, no extra edge. Phase 1 is a connectivity
+//! question over the unmarked edges of a snapshot.
 
-use crate::oracle;
-use rechord_graph::{connectivity, Edge, EdgeKind, OverlayGraph};
-use rechord_id::Ident;
+use crate::network::snapshot_states;
+use crate::oracle::StableTopology;
+use crate::protocol::ReChordProtocol;
+use crate::stability::Comparison;
+use rechord_graph::{connectivity, EdgeKind, OverlayGraph};
+use rechord_sim::Engine;
 
 /// Which phase predicates currently hold.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -36,137 +44,65 @@ pub struct PhaseStatus {
 }
 
 impl PhaseStatus {
-    /// Number of completed phases, counting prefix-wise (phase `k` counts
-    /// only if phases `1..k` also hold, matching the proof's ordering).
-    pub fn completed_prefix(&self) -> usize {
-        let flags = [
+    /// Evaluates the five predicates on the states of `engine`'s peers.
+    pub fn new(target: &StableTopology, engine: &Engine<ReChordProtocol>) -> Self {
+        // Phase 1 counts every node of the snapshot, including nodes that
+        // are only referenced.
+        let snapshot = snapshot_states(engine.iter());
+        let mut unmarked: OverlayGraph =
+            snapshot.edges().filter(|e| e.kind == EdgeKind::Unmarked).collect();
+        for n in snapshot.nodes() {
+            unmarked.add_node(*n);
+        }
+        let cmp = Comparison::new(target, engine);
+        PhaseStatus {
+            connected_unmarked: connectivity::weakly_connected(&unmarked),
+            linearized: cmp.missing_linear == 0,
+            ring_closed: cmp.ring_pair_present,
+            real_neighbors: cmp.missing_real == 0,
+            cleanup_done: cmp.extra_unmarked.is_empty(),
+        }
+    }
+
+    /// The five predicates in phase order.
+    pub fn flags(&self) -> [bool; 5] {
+        [
             self.connected_unmarked,
             self.linearized,
             self.ring_closed,
             self.real_neighbors,
             self.cleanup_done,
-        ];
-        flags.iter().take_while(|&&f| f).count()
+        ]
     }
 
-    /// All five predicates hold.
-    pub fn all(&self) -> bool {
-        self.completed_prefix() == 5
+    /// Number of completed phases, counting prefix-wise (phase `k` counts
+    /// only if phases `1..k` also hold, matching the proof's ordering).
+    pub fn completed_prefix(&self) -> usize {
+        self.flags().iter().take_while(|&&f| f).count()
     }
-}
-
-/// Evaluates all five phase predicates on a snapshot.
-pub fn observe(snapshot: &OverlayGraph, real_ids: &[Ident]) -> PhaseStatus {
-    let oracle_nodes = oracle::stable_nodes(real_ids);
-    let desired = oracle::desired_unmarked(real_ids);
-
-    // Phase 1: connectivity over unmarked edges only.
-    let unmarked_only: OverlayGraph = {
-        let mut g: OverlayGraph =
-            snapshot.edges().filter(|e| e.kind == EdgeKind::Unmarked).collect();
-        for n in snapshot.nodes() {
-            g.add_node(*n);
-        }
-        g
-    };
-    let connected_unmarked = connectivity::weakly_connected(&unmarked_only);
-
-    // Phase 2: Lemma 3.6's endpoint — consecutive (oracle) nodes mutually
-    // connected by unmarked edges. Only meaningful once the oracle's node
-    // set is simulated; missing nodes fail the predicate.
-    let linearized = oracle_nodes.windows(2).all(|w| {
-        let (a, b) = (w[0], w[1]);
-        snapshot.has_edge(&Edge::unmarked(a, b)) && snapshot.has_edge(&Edge::unmarked(b, a))
-    });
-
-    // Phase 3: the persistent extremal ring pair.
-    let ring_closed = oracle::desired_ring_pair(real_ids)
-        .map(|(x, y)| snapshot.has_edge(&x) && snapshot.has_edge(&y))
-        .unwrap_or(true);
-
-    // Phase 4: every desired closest-real edge exists. The rl/rr edges are
-    // exactly the desired edges whose target is real and which are not the
-    // pred/succ edge; checking the full desired set's real-target edges is
-    // equivalent and avoids reaching into peer state.
-    let real_neighbors = desired.edges().filter(|e| e.to.is_real()).all(|e| snapshot.has_edge(&e));
-
-    // Phase 5: no unnecessary unmarked edges.
-    let cleanup_done =
-        snapshot.edges().filter(|e| e.kind == EdgeKind::Unmarked).all(|e| desired.has_edge(&e));
-
-    PhaseStatus { connected_unmarked, linearized, ring_closed, real_neighbors, cleanup_done }
-}
-
-/// The first round (1-based) at which each phase predicate held, observed
-/// over a run. `None` means the phase was never observed within the budget.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PhaseTimeline {
-    /// First round each of the five predicates held.
-    pub first_true: [Option<u64>; 5],
-    /// Round at which the run reached the fixpoint, if it did.
-    pub stable_round: Option<u64>,
-}
-
-impl PhaseTimeline {
-    /// Records the status after `round`.
-    pub fn record(&mut self, round: u64, status: PhaseStatus) {
-        let flags = [
-            status.connected_unmarked,
-            status.linearized,
-            status.ring_closed,
-            status.real_neighbors,
-            status.cleanup_done,
-        ];
-        for (slot, flag) in self.first_true.iter_mut().zip(flags) {
-            if slot.is_none() && flag {
-                *slot = Some(round);
-            }
-        }
-    }
-}
-
-/// Runs a network to its fixpoint while recording the phase timeline.
-pub fn run_with_timeline(
-    net: &mut crate::network::ReChordNetwork,
-    max_rounds: u64,
-) -> PhaseTimeline {
-    let ids = net.real_ids();
-    let mut timeline = PhaseTimeline::default();
-    for round in 1..=max_rounds {
-        let out = net.round();
-        timeline.record(round, observe(&net.snapshot(), &ids));
-        if !out.changed {
-            timeline.stable_round = Some(round);
-            break;
-        }
-    }
-    timeline
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::network::ReChordNetwork;
+    use crate::stability::stable_states;
     use rechord_topology::TopologyKind;
 
     #[test]
     fn oracle_state_satisfies_all_phases() {
         let topo = TopologyKind::Random.generate(10, 3);
-        let mut snapshot = oracle::desired_unmarked(&topo.ids);
-        if let Some((a, b)) = oracle::desired_ring_pair(&topo.ids) {
-            snapshot.add_edge(a);
-            snapshot.add_edge(b);
-        }
-        let status = observe(&snapshot, &topo.ids);
-        assert!(status.all(), "{status:?}");
-        assert_eq!(status.completed_prefix(), 5);
+        let target = StableTopology::new(&topo.ids);
+        let net = ReChordNetwork::from_raw_states(stable_states(&target, true), 1);
+        let status = PhaseStatus::new(&target, net.engine());
+        assert_eq!(status.completed_prefix(), 5, "{status:?}");
     }
 
     #[test]
     fn initial_random_state_fails_later_phases() {
         let topo = TopologyKind::Random.generate(10, 3);
         let net = ReChordNetwork::from_topology(&topo, 1);
-        let status = observe(&net.snapshot(), &topo.ids);
+        let status = PhaseStatus::new(&StableTopology::new(&topo.ids), net.engine());
         assert!(!status.linearized);
         assert!(!status.real_neighbors);
     }
@@ -175,16 +111,22 @@ mod tests {
     fn timeline_is_monotone_and_complete_on_convergence() {
         let topo = TopologyKind::Random.generate(12, 9);
         let mut net = ReChordNetwork::from_topology(&topo, 1);
-        let tl = run_with_timeline(&mut net, 50_000);
-        let stable = tl.stable_round.expect("must converge");
-        for (k, ft) in tl.first_true.iter().enumerate() {
+        let target = StableTopology::new(&topo.ids);
+        let mut first_true = [None; 5];
+        let report = net.engine_mut().run_until_fixpoint_observed(50_000, |round, _, engine| {
+            for (first, holds) in
+                first_true.iter_mut().zip(PhaseStatus::new(&target, engine).flags())
+            {
+                if holds {
+                    first.get_or_insert(round);
+                }
+            }
+        });
+        assert!(report.converged, "must converge");
+        for (k, ft) in first_true.iter().enumerate() {
             let r = ft.unwrap_or_else(|| panic!("phase {} never held", k + 1));
-            assert!(r <= stable, "phase {} after stabilization", k + 1);
+            assert!(r <= report.rounds, "phase {} after stabilization", k + 1);
         }
-        // prefix ordering: each phase's first-true is not before phase 1's
-        assert!(
-            tl.first_true[0].unwrap() <= tl.first_true[1].unwrap().max(tl.first_true[0].unwrap())
-        );
     }
 
     #[test]

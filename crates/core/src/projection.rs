@@ -7,6 +7,7 @@
 //! ring edge to `v`'s real node. Connection edges never participate
 //! ("they do not participate in the routing").
 
+use crate::oracle::StableTopology;
 use rechord_graph::{EdgeKind, OverlayGraph};
 use rechord_id::Ident;
 use std::collections::{BTreeMap, BTreeSet};
@@ -148,8 +149,8 @@ impl ChordCoverage {
 /// [`crate::oracle::ChordEdge::crosses_wrap`]) — those are the edges the
 /// audit takes as closed through the ring-edge chain rather than through a
 /// direct unmarked edge (README, Interpretations "Wrap edges").
-pub fn chord_coverage(projection: &Projection, real_ids: &[Ident]) -> ChordCoverage {
-    let chord = crate::oracle::chord_edges(real_ids);
+pub fn chord_coverage(projection: &Projection, target: &StableTopology) -> ChordCoverage {
+    let chord = target.chord_edges();
     let mut cov = ChordCoverage {
         total: chord.len(),
         present: 0,
@@ -233,7 +234,7 @@ mod tests {
         // Projection with only the forward (0.1 → 0.6) edge.
         let g: OverlayGraph = [Edge::unmarked(r(0.1), r(0.6))].into_iter().collect();
         let p = Projection::from_overlay(&g);
-        let cov = chord_coverage(&p, &ids);
+        let cov = chord_coverage(&p, &StableTopology::new(&ids));
         assert!(cov.present >= 1);
         assert_eq!(cov.present + cov.missing_wrap.len() + cov.missing_linear.len(), cov.total);
     }

@@ -2,7 +2,7 @@
 
 use crate::msg::Msg;
 use crate::network::ReChordNetwork;
-use crate::oracle;
+use crate::oracle::StableTopology;
 use crate::protocol::ReChordProtocol;
 use crate::state::{PeerState, RefSet, VirtualState};
 use proptest::prelude::*;
@@ -150,9 +150,9 @@ proptest! {
     #[test]
     fn oracle_degree_bound(n in 1usize..40, seed in any::<u64>()) {
         let topo = TopologyKind::Random.generate(n, seed);
-        let desired = oracle::desired_unmarked(&topo.ids);
-        for node in desired.nodes() {
-            let deg = desired.adjacency(node).map(|a| a.unmarked.len()).unwrap_or(0);
+        let target = StableTopology::new(&topo.ids);
+        for node in target.nodes() {
+            let deg = target.targets(node).map_or(0, |t| t.distinct().count());
             prop_assert!(deg <= 4, "node {node:?} has degree {deg}");
         }
     }
@@ -162,7 +162,8 @@ proptest! {
     #[test]
     fn chord_edge_set_well_formed(n in 2usize..40, seed in any::<u64>()) {
         let topo = TopologyKind::Random.generate(n, seed);
-        let edges = oracle::chord_edges(&topo.ids);
+        let target = StableTopology::new(&topo.ids);
+        let edges = target.chord_edges();
         prop_assert!(edges.iter().all(|e| e.from != e.to));
         prop_assert!(edges.iter().all(|e| topo.ids.contains(&e.from) && topo.ids.contains(&e.to)));
         // at least the ring (2n directed edges) and at most ~n * (log2 n + 3)

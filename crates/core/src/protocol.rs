@@ -209,7 +209,7 @@ mod tests {
     fn two_peers_stabilize_into_mutual_knowledge() {
         let a = Ident::from_f64(0.2);
         let b = Ident::from_f64(0.7);
-        let mut engine = Engine::new(ReChordProtocol::full(), 1);
+        let mut engine = Engine::new(ReChordProtocol::full());
         engine.insert_node(a, PeerState::with_contacts([NodeRef::real(b)]));
         engine.insert_node(b, PeerState::new());
         let report = engine.run_until_fixpoint(500);
@@ -226,7 +226,7 @@ mod tests {
     #[test]
     fn lone_peer_reaches_a_quiet_fixpoint() {
         let a = Ident::from_f64(0.42);
-        let mut engine = Engine::new(ReChordProtocol::full(), 1);
+        let mut engine = Engine::new(ReChordProtocol::full());
         engine.insert_node(a, PeerState::new());
         let report = engine.run_until_fixpoint(100);
         assert!(report.converged, "a singleton must quiesce");
@@ -238,7 +238,7 @@ mod tests {
     fn virtual_levels_track_the_gap() {
         let a = Ident::from_f64(0.0);
         let b = Ident::from_f64(0.26); // gap 0.26: 1/4 <= gap < 1/2 → m = 2
-        let mut engine = Engine::new(ReChordProtocol::full(), 1);
+        let mut engine = Engine::new(ReChordProtocol::full());
         engine.insert_node(a, PeerState::with_contacts([NodeRef::real(b)]));
         engine.insert_node(b, PeerState::with_contacts([NodeRef::real(a)]));
         engine.run_until_fixpoint(500);

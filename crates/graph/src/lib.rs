@@ -25,7 +25,7 @@ mod overlay;
 
 pub use edge::{Edge, EdgeKind};
 pub use noderef::NodeRef;
-pub use overlay::{DegreeSummary, EdgeCounts, OverlayGraph};
+pub use overlay::{EdgeCounts, OverlayGraph};
 
 #[cfg(test)]
 mod proptests;

@@ -57,13 +57,6 @@ impl NodeRef {
     pub fn is_virtual(&self) -> bool {
         self.level != 0
     }
-
-    /// Are `self` and `other` siblings (simulated by the same peer)?
-    /// Per §2.2, `S(u_i)` is the set of nodes sharing `u_i`'s owner.
-    #[inline]
-    pub fn is_sibling_of(&self, other: &NodeRef) -> bool {
-        self.owner == other.owner
-    }
 }
 
 impl PartialOrd for NodeRef {
@@ -131,13 +124,5 @@ mod tests {
         // total order still separates them, consistently
         assert_eq!(v.cmp(&r), v.cmp(&r));
         assert_ne!(v.cmp(&r), core::cmp::Ordering::Equal);
-    }
-
-    #[test]
-    fn sibling_relation() {
-        let u = Ident::from_f64(0.1);
-        let w = Ident::from_f64(0.2);
-        assert!(NodeRef::real(u).is_sibling_of(&NodeRef::virtual_node(u, 3)));
-        assert!(!NodeRef::real(u).is_sibling_of(&NodeRef::real(w)));
     }
 }

@@ -40,11 +40,6 @@ impl NodeAdjacency {
             EdgeKind::Connection => &mut self.connection,
         }
     }
-
-    /// Total out-degree across all classes (multigraph degree).
-    pub fn out_degree(&self) -> usize {
-        self.unmarked.len() + self.ring.len() + self.connection.len()
-    }
 }
 
 /// Edge totals per class — the quantities plotted in the paper's Figure 5
@@ -70,17 +65,6 @@ impl EdgeCounts {
     pub fn total(&self) -> usize {
         self.unmarked + self.ring + self.connection
     }
-}
-
-/// Degree distribution summary for a graph snapshot.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct DegreeSummary {
-    /// Largest out-degree over all nodes.
-    pub max_out: usize,
-    /// Mean out-degree.
-    pub mean_out: f64,
-    /// Largest in-degree over all nodes.
-    pub max_in: usize,
 }
 
 /// A directed multigraph snapshot over [`NodeRef`] nodes with classed edges.
@@ -156,24 +140,9 @@ impl OverlayGraph {
         self.nodes.keys().filter(|n| n.is_real())
     }
 
-    /// Virtual nodes only (`V_v`).
-    pub fn virtual_nodes(&self) -> impl Iterator<Item = &NodeRef> + '_ {
-        self.nodes.keys().filter(|n| n.is_virtual())
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Number of real nodes.
     pub fn real_count(&self) -> usize {
         self.real_nodes().count()
-    }
-
-    /// Number of virtual nodes.
-    pub fn virtual_count(&self) -> usize {
-        self.virtual_nodes().count()
     }
 
     /// The adjacency record of one node, if present.
@@ -199,37 +168,6 @@ impl OverlayGraph {
             c.connection += adj.connection.len();
         }
         c
-    }
-
-    /// Degree distribution summary (multigraph out/in degrees).
-    pub fn degree_summary(&self) -> DegreeSummary {
-        if self.nodes.is_empty() {
-            return DegreeSummary::default();
-        }
-        let mut indeg: BTreeMap<NodeRef, usize> = BTreeMap::new();
-        let mut max_out = 0usize;
-        let mut sum_out = 0usize;
-        for (_, adj) in self.nodes.iter() {
-            let d = adj.out_degree();
-            max_out = max_out.max(d);
-            sum_out += d;
-            for kind in EdgeKind::ALL {
-                for t in adj.of(kind) {
-                    *indeg.entry(*t).or_default() += 1;
-                }
-            }
-        }
-        DegreeSummary {
-            max_out,
-            mean_out: sum_out as f64 / self.nodes.len() as f64,
-            max_in: indeg.values().copied().max().unwrap_or(0),
-        }
-    }
-
-    /// Edges present in `self` but not in `other` — the debugging view for
-    /// "which edges are still missing/extra vs. the oracle topology".
-    pub fn edge_difference(&self, other: &OverlayGraph) -> Vec<Edge> {
-        self.edges().filter(|e| !other.has_edge(e)).collect()
     }
 
     /// Is every edge of `self` present in `other`? (Subgraph on edges; node
@@ -300,7 +238,8 @@ mod tests {
         let big: OverlayGraph = [Edge::unmarked(a, b), Edge::unmarked(b, c)].into_iter().collect();
         assert!(small.edges_subset_of(&big));
         assert!(!big.edges_subset_of(&small));
-        assert_eq!(big.edge_difference(&small), vec![Edge::unmarked(b, c)]);
+        let difference: Vec<Edge> = big.edges().filter(|e| !small.has_edge(e)).collect();
+        assert_eq!(difference, vec![Edge::unmarked(b, c)]);
     }
 
     #[test]
@@ -310,19 +249,8 @@ mod tests {
         let mut g = OverlayGraph::new();
         g.add_edge(Edge::unmarked(a, v));
         assert_eq!(g.real_count(), 1);
-        assert_eq!(g.virtual_count(), 1);
-        assert_eq!(g.node_count(), 2);
-    }
-
-    #[test]
-    fn degree_summary_counts_in_and_out() {
-        let (a, b, c) = (r(0.1), r(0.2), r(0.3));
-        let g: OverlayGraph =
-            [Edge::unmarked(a, b), Edge::unmarked(a, c), Edge::ring(b, c)].into_iter().collect();
-        let d = g.degree_summary();
-        assert_eq!(d.max_out, 2);
-        assert_eq!(d.max_in, 2); // c has two in-edges
-        assert!((d.mean_out - 1.0).abs() < 1e-12);
+        assert_eq!(g.nodes().filter(|n| n.is_virtual()).count(), 1);
+        assert_eq!(g.nodes().count(), 2);
     }
 
     #[test]

@@ -31,7 +31,7 @@ struct FabricInner {
 #[derive(Default)]
 struct Shared {
     inner: Mutex<FabricInner>,
-    /// Woken on every send and disconnect, so threaded receivers block
+    /// Woken on every send, so threaded receivers block
     /// instead of polling (lock-step drivers never wait here).
     wake: Condvar,
 }
@@ -55,12 +55,6 @@ impl InMemFabric {
     pub fn endpoint(&self, me: Ident) -> InMemTransport {
         lock_or_recover(&self.shared.inner).queues.entry(me).or_default();
         InMemTransport { me, shared: Arc::clone(&self.shared) }
-    }
-
-    /// Removes the actor and its pending messages (a crash or shutdown).
-    pub fn disconnect(&self, me: Ident) {
-        lock_or_recover(&self.shared.inner).queues.remove(&me);
-        self.shared.wake.notify_all();
     }
 
     /// Total messages currently queued across all actors.
@@ -161,14 +155,6 @@ mod tests {
         assert_eq!(a.connect(id(9), &PeerAddr::Mem), Err(NetError::Unreachable(id(9))));
         let _b = fabric.endpoint(id(9));
         assert_eq!(a.connect(id(9), &PeerAddr::Mem), Ok(()));
-    }
-
-    #[test]
-    fn disconnect_closes_the_endpoint() {
-        let fabric = InMemFabric::new();
-        let mut a = fabric.endpoint(id(1));
-        fabric.disconnect(id(1));
-        assert_eq!(a.recv(None), Err(NetError::Closed));
     }
 
     #[test]

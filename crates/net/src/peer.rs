@@ -479,17 +479,11 @@ impl<T: Transport> NodePeer<T> {
     /// Runs until an orderly shutdown; returns the final counters.
     pub fn run(mut self, poll: Duration) -> Result<NodeReport, NetError> {
         loop {
-            self.tick()?;
-            // Batch drain: everything pending, no blocking, one flush.
-            while let Some((from, msg)) = self.transport.try_recv()? {
-                if self.handle(from, msg)? == Control::Shutdown {
-                    self.transport.flush_all()?;
-                    return Ok(self.report());
-                }
-                self.tick()?;
+            // The batch drain ends in a flush: never block with corked
+            // frames queued.
+            if self.pump()? == Control::Shutdown {
+                return Ok(self.report());
             }
-            // Liveness rule: never block with corked frames queued.
-            self.transport.flush_all()?;
             match self.transport.recv(Some(poll)) {
                 Ok((from, msg)) => {
                     if self.handle(from, msg)? == Control::Shutdown {

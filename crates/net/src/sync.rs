@@ -185,12 +185,6 @@ impl<P: SyncProtocol> RoundSync<P> {
         &self.trace
     }
 
-    /// Sum of delivered plus dropped over all executed rounds (this node's
-    /// share of `FixpointReport::total_messages`).
-    pub fn local_messages(&self) -> usize {
-        self.trace.iter().map(|s| s.delivered + s.dropped).sum()
-    }
-
     /// Opens a cycle: returns `(round_tag, state)` for the `StateSync`
     /// broadcast and records our own contribution to the snapshot. Returns
     /// `None` when a cycle is already open (announce once per cycle).
@@ -341,7 +335,7 @@ mod tests {
             vec![peers[(i + 1) % peers.len()]]
         };
 
-        let mut engine = Engine::new(ChordProtocol, 1);
+        let mut engine = Engine::new(ChordProtocol);
         for (i, &id) in peers.iter().enumerate() {
             engine.insert_node(id, ChordState::with_contacts(contacts(i)));
         }
@@ -407,7 +401,8 @@ mod tests {
         }
 
         assert_eq!(rounds, Some(report.rounds), "round counts must match the engine");
-        let total: usize = nodes.iter().map(|n| n.local_messages()).sum();
+        let total: usize =
+            nodes.iter().flat_map(|n| n.trace()).map(|s| s.delivered + s.dropped).sum();
         assert_eq!(total, report.total_messages, "message totals must match the engine");
         for node in &nodes {
             assert_eq!(node.converged(), Some(report.rounds));

@@ -205,11 +205,6 @@ impl<V> PlacementMap<V> {
         self.max_keys_per_peer = max_keys_per_peer;
     }
 
-    /// The configured per-peer repair-copy cap (`0` = unlimited).
-    pub fn peer_capacity(&self) -> usize {
-        self.max_keys_per_peer
-    }
-
     /// The current peer snapshot, ascending.
     pub fn peers(&self) -> &[Ident] {
         &self.peers
@@ -228,11 +223,6 @@ impl<V> PlacementMap<V> {
     /// Total copies across all peers.
     pub fn copy_count(&self) -> usize {
         self.held.values().map(BTreeSet::len).sum()
-    }
-
-    /// Arc markers accumulated since the last repair.
-    pub fn dirty_arcs(&self) -> usize {
-        self.dirty.len()
     }
 
     /// Every stored key (unordered across shards, ring-ordered within one).
@@ -945,7 +935,7 @@ mod tests {
         assert_eq!(stats.arcs_touched, 3, "join dirties its replication window");
         assert!(stats.keys_moved <= stats.keys_examined);
         assert!(stats.copies_added > 0, "the joiner receives its arcs' copies");
-        assert_eq!(pm.dirty_arcs(), 0);
+        assert!(!pm.repair_pending());
         assert!(pm.repair_delta().is_noop(), "second repair is free");
     }
 
@@ -1056,7 +1046,6 @@ mod tests {
         // A tight cap: every peer is already far over it, so repair may
         // not add any surplus copies — only mandatory primary ones.
         pm.set_peer_capacity(10);
-        assert_eq!(pm.peer_capacity(), 10);
         pm.apply_leave(peers[1], Departure::Crash);
         pm.begin_repair();
         let mut rejected = 0;

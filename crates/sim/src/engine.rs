@@ -136,11 +136,8 @@ enum Part {
 }
 
 impl<P: SyncProtocol> Engine<P> {
-    /// Creates an empty engine. The second argument (once a thread count)
-    /// is accepted and ignored: rounds are evaluated serially, and the
-    /// parameter survives only because `benchmark/` passes one through the
-    /// network constructors.
-    pub fn new(protocol: P, _threads: usize) -> Self {
+    /// Creates an empty engine.
+    pub fn new(protocol: P) -> Self {
         Engine {
             protocol,
             ids: Vec::new(),
@@ -418,12 +415,26 @@ impl<P: SyncProtocol> Engine<P> {
     /// Runs up to `max_rounds` rounds, stopping at the first fixpoint
     /// (a round after which the global state is unchanged).
     pub fn run_until_fixpoint(&mut self, max_rounds: u64) -> FixpointReport {
+        self.run_until_fixpoint_observed(max_rounds, |_, _, _| {})
+    }
+
+    /// [`Engine::run_until_fixpoint`], calling `observe(round, &outcome,
+    /// &engine)` after every round (`round` counts from 1, so the last call
+    /// of a converged run sees the report's `rounds`). This is the one loop
+    /// that runs rounds to a fixpoint: a driver that watches a run (a
+    /// milestone, a per-round series) observes it here.
+    pub fn run_until_fixpoint_observed(
+        &mut self,
+        max_rounds: u64,
+        mut observe: impl FnMut(u64, &RoundOutcome, &Self),
+    ) -> FixpointReport {
         let mut total_messages = 0usize;
-        for r in 0..max_rounds {
+        for round in 1..=max_rounds {
             let out = self.round();
             total_messages += out.delivered + out.dropped;
+            observe(round, &out, self);
             if !out.changed {
-                return FixpointReport { rounds: r + 1, converged: true, total_messages };
+                return FixpointReport { rounds: round, converged: true, total_messages };
             }
         }
         FixpointReport { rounds: max_rounds, converged: false, total_messages }
@@ -478,7 +489,7 @@ mod tests {
     }
 
     fn engine_with(n: u64) -> Engine<MinGossip> {
-        let mut e = Engine::new(MinGossip, 1);
+        let mut e = Engine::new(MinGossip);
         for i in 0..n {
             e.insert_node(
                 gossip_id(i),
@@ -539,7 +550,7 @@ mod tests {
 
     #[test]
     fn ids_stay_sorted() {
-        let mut e = Engine::new(MinGossip, 1);
+        let mut e = Engine::new(MinGossip);
         for raw in [50u64, 10, 90, 30] {
             let id = Ident::from_raw(raw);
             e.insert_node(id, Gossip { succ: id, known: vec![raw] });
@@ -574,7 +585,7 @@ mod tests {
     #[test]
     fn messages_to_missing_peers_are_dropped() {
         let [a, b, c] = [10, 20, 30].map(Ident::from_raw);
-        let mut e = Engine::new(Courier, 1);
+        let mut e = Engine::new(Courier);
         for (id, target) in [(a, b), (b, c), (c, a)] {
             e.insert_node(id, (target, 0));
         }
@@ -604,7 +615,7 @@ mod tests {
 
     #[test]
     fn empty_engine_is_a_fixpoint() {
-        let mut e: Engine<MinGossip> = Engine::new(MinGossip, 1);
+        let mut e: Engine<MinGossip> = Engine::new(MinGossip);
         let report = e.run_until_fixpoint(10);
         assert!(report.converged);
         assert_eq!(report.rounds, 1);

@@ -37,11 +37,6 @@ impl ChurnPlan {
         ChurnPlan { events: (0..joins).map(|_| ChurnEvent::Join { address: rng.gen() }).collect() }
     }
 
-    /// `leaves` graceful leaves — Theorem 4.2's workload.
-    pub fn leaves_only(leaves: usize) -> Self {
-        ChurnPlan { events: vec![ChurnEvent::GracefulLeave; leaves] }
-    }
-
     /// `crashes` crash failures — Theorem 4.2's fault variant.
     pub fn crashes_only(crashes: usize) -> Self {
         ChurnPlan { events: vec![ChurnEvent::Crash; crashes] }
@@ -73,17 +68,6 @@ impl ChurnPlan {
     /// True iff no events are scheduled.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Net population change if every event succeeds.
-    pub fn net_population_delta(&self) -> isize {
-        self.events
-            .iter()
-            .map(|e| match e {
-                ChurnEvent::Join { .. } => 1isize,
-                ChurnEvent::GracefulLeave | ChurnEvent::Crash => -1,
-            })
-            .sum()
     }
 }
 
@@ -180,13 +164,14 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.len(), 5);
         assert!(a.events.iter().all(|e| matches!(e, ChurnEvent::Join { .. })));
-        assert_eq!(a.net_population_delta(), 5);
     }
 
     #[test]
     fn leaves_and_crashes() {
-        assert_eq!(ChurnPlan::leaves_only(3).net_population_delta(), -3);
-        assert_eq!(ChurnPlan::crashes_only(2).net_population_delta(), -2);
+        assert_eq!(ChurnPlan::crashes_only(2).events, vec![ChurnEvent::Crash; 2]);
+        let departures = ChurnPlan::mixed(20, 0.0, 7).events;
+        assert!(departures.contains(&ChurnEvent::GracefulLeave));
+        assert!(departures.contains(&ChurnEvent::Crash));
     }
 
     #[test]
@@ -201,7 +186,7 @@ mod tests {
     fn empty_plan() {
         let p = ChurnPlan::default();
         assert!(p.is_empty());
-        assert_eq!(p.net_population_delta(), 0);
+        assert_eq!(p.len(), 0);
     }
 
     #[test]

@@ -46,11 +46,6 @@ impl Default for AdversaryConfig {
 }
 
 impl AdversaryConfig {
-    /// Does this configuration corrupt anyone at all?
-    pub fn is_active(&self) -> bool {
-        (self.fraction > 0.0 && !self.crimes.is_empty()) || self.flaky_fraction > 0.0
-    }
-
     /// Builds the behavior map over the initial `peers`, plus the
     /// `(attacker, sybil)` join list for the wave (empty unless the crime
     /// set includes [`Crime::SybilJoinWave`]). Sybil identities are
@@ -87,7 +82,6 @@ mod tests {
     #[test]
     fn default_is_honest_and_inactive() {
         let cfg = AdversaryConfig::default();
-        assert!(!cfg.is_active());
         let peers: Vec<Ident> = (1..=8).map(Ident::from_raw).collect();
         let (map, sybils) = cfg.build(&peers, 7);
         assert!(map.is_all_honest());

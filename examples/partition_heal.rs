@@ -17,7 +17,7 @@ fn main() {
     println!("adversarial state: {n} peers in two interleaved rings + one bridge edge\n");
 
     // --- classic Chord, starting from the established loopy pointer state.
-    let mut chord = ChordNetwork::loopy_double_ring(&topo.ids, 1);
+    let mut chord = ChordNetwork::loopy_double_ring(&topo.ids);
     println!("classic Chord: {} successor rings before stabilization", chord.ring_count());
     let report = chord.run_until_stable(50_000);
     let keys: Vec<Ident> = (0..32u64).map(|k| Ident::from_raw(k << 58 ^ 0xdead)).collect();

@@ -6,6 +6,8 @@
 //! ```
 
 use rechord::core::network::ReChordNetwork;
+use rechord::core::oracle::StableTopology;
+use rechord::core::stability::Comparison;
 use rechord::topology::TopologyKind;
 
 fn main() {
@@ -23,8 +25,15 @@ fn main() {
     let mut net = ReChordNetwork::from_topology(&initial, 1);
 
     // Drive the six local rules (paper §2.3) to the global fixpoint,
-    // tracking when the "almost stable" milestone is passed (Figure 6).
-    let (report, almost) = net.run_until_stable_tracking_almost(100_000);
+    // watching for the round the "almost stable" milestone is passed
+    // (Figure 6): every edge of the stable topology exists.
+    let target = StableTopology::new(&initial.ids);
+    let mut almost = None;
+    let report = net.engine_mut().run_until_fixpoint_observed(100_000, |round, _, engine| {
+        if almost.is_none() && Comparison::new(&target, engine).almost_stable() {
+            almost = Some(round);
+        }
+    });
     println!(
         "self-stabilized in {} rounds (almost stable after {:?} rounds), {} messages",
         report.rounds_to_stable(),

@@ -9,7 +9,9 @@
 
 use rechord::analysis::{AsciiChart, Series};
 use rechord::core::network::ReChordNetwork;
-use rechord::core::phases;
+use rechord::core::oracle::StableTopology;
+use rechord::core::phases::PhaseStatus;
+use rechord::core::NetworkMetrics;
 use rechord::graph::dot::{to_dot, DotStyle};
 use rechord::topology::TopologyKind;
 
@@ -17,7 +19,7 @@ fn main() {
     let n = 16;
     let topo = TopologyKind::RandomLine.generate(n, 99);
     let mut net = ReChordNetwork::from_topology(&topo, 1);
-    let ids = net.real_ids();
+    let target = StableTopology::new(&topo.ids);
 
     std::fs::create_dir_all("results").expect("mkdir results");
     std::fs::write(
@@ -29,21 +31,22 @@ fn main() {
     // Per-round observation: edge populations + phase completion.
     let (mut rounds, mut normal, mut conn, mut phases_done) =
         (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    let mut stable_round = None;
-    for round in 1..=10_000u64 {
-        let out = net.round();
-        let m = net.metrics();
-        let status = phases::observe(&net.snapshot(), &ids);
+    let mut first_true = [None; 5];
+    let report = net.engine_mut().run_until_fixpoint_observed(10_000, |round, _, engine| {
+        let m = NetworkMetrics::of(engine);
+        let status = PhaseStatus::new(&target, engine);
         rounds.push(round as f64);
         normal.push(m.normal_edges() as f64);
         conn.push(m.connection_edges() as f64);
         phases_done.push(status.completed_prefix() as f64);
-        if !out.changed {
-            stable_round = Some(round);
-            break;
+        for (first, holds) in first_true.iter_mut().zip(status.flags()) {
+            if holds {
+                first.get_or_insert(round);
+            }
         }
-    }
-    let stable_round = stable_round.expect("must converge");
+    });
+    assert!(report.converged, "must converge");
+    let stable_round = report.rounds;
 
     println!(
         "{}",
@@ -64,12 +67,10 @@ fn main() {
     );
 
     println!("stable after {stable_round} rounds; phase milestones:");
-    let mut probe = ReChordNetwork::from_topology(&topo, 1);
-    let tl = phases::run_with_timeline(&mut probe, 10_000);
     for (k, name) in
         ["connection", "linearization", "ring", "closest-real", "cleanup"].iter().enumerate()
     {
-        println!("  phase {} ({name:13}) first holds at round {:?}", k + 1, tl.first_true[k]);
+        println!("  phase {} ({name:13}) first holds at round {:?}", k + 1, first_true[k]);
     }
 
     std::fs::write(

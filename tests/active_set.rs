@@ -260,7 +260,7 @@ fn a_coin_flip_schedule_matches_the_sweep() {
 #[test]
 fn classic_chord_matches_the_sweep() {
     let topo = TopologyKind::Random.generate(32, 5);
-    let mut engine = Engine::new(ChordProtocol, 1);
+    let mut engine = Engine::new(ChordProtocol);
     for &id in &topo.ids {
         engine.insert_node(id, ChordState::with_contacts([]));
     }

@@ -12,6 +12,8 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rechord::core::network::ReChordNetwork;
+use rechord::core::oracle::StableTopology;
+use rechord::core::stability::Comparison;
 use rechord::topology::TopologyKind;
 
 /// Drives `net` with a fair random activation schedule until the
@@ -24,13 +26,14 @@ fn partial_rounds_until_almost_stable(
     max_rounds: u64,
 ) -> Option<u64> {
     let mut rng = SmallRng::seed_from_u64(seed);
+    let target = StableTopology::new(&net.real_ids());
     for round in 1..=max_rounds {
         let ids = net.real_ids();
         let active: std::collections::BTreeSet<_> =
             ids.iter().copied().filter(|_| rng.gen_bool(p)).collect();
         net.engine_mut().round_with_schedule(|id| active.contains(&id));
         // probing every round is O(oracle); every 4th is plenty
-        if round % 4 == 0 && net.is_almost_stable() {
+        if round % 4 == 0 && Comparison::new(&target, net.engine()).almost_stable() {
             return Some(round);
         }
     }

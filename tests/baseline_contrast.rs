@@ -12,7 +12,7 @@ fn classic_chord_stuck_in_loopy_state_rechord_recovers() {
         let topo = TopologyKind::DoubleRingBridge.generate(n, n as u64);
 
         // Classic Chord from the established two-cycle pointer state.
-        let mut chord = ChordNetwork::loopy_double_ring(&topo.ids, 1);
+        let mut chord = ChordNetwork::loopy_double_ring(&topo.ids);
         assert_eq!(chord.ring_count(), 2, "n={n}: setup must be two rings");
         let report = chord.run_until_stable(50_000);
         assert!(report.converged, "n={n}: chord should quiesce");
@@ -31,7 +31,7 @@ fn classic_chord_stuck_in_loopy_state_rechord_recovers() {
 #[test]
 fn loopy_chord_lookups_degrade() {
     let topo = TopologyKind::Random.generate(24, 99);
-    let mut chord = ChordNetwork::loopy_double_ring(&topo.ids, 1);
+    let mut chord = ChordNetwork::loopy_double_ring(&topo.ids);
     chord.run_until_stable(50_000);
     let keys: Vec<Ident> = (0..64u64).map(|k| Ident::from_raw(k << 57 ^ 0xbeef)).collect();
     let rate = chord.lookup_success_rate(&keys);
@@ -43,7 +43,7 @@ fn classic_chord_is_fine_under_plain_churn() {
     // Fairness check: the baseline is a correct Chord — it handles the
     // situations Chord was designed for.
     let topo = TopologyKind::SortedLine.generate(12, 7);
-    let mut chord = ChordNetwork::from_topology(&topo, 1);
+    let mut chord = ChordNetwork::from_topology(&topo);
     chord.run_until_stable(50_000);
     assert_eq!(chord.ring_count(), 1);
     assert!(chord.join_via(Ident::from_raw(0x1357_9bdf_2468_ace0), chord.real_ids()[2]));

@@ -2,8 +2,9 @@
 //! subgraph, so Chord applications run on top unchanged.
 
 use rechord::core::network::ReChordNetwork;
-use rechord::core::oracle;
+use rechord::core::oracle::{ChordEdgeKind, StableTopology};
 use rechord::core::projection::{chord_coverage, Projection};
+use rechord::graph::OverlayGraph;
 use rechord::topology::TopologyKind;
 
 fn stable_projection(n: usize, seed: u64) -> (ReChordNetwork, Projection) {
@@ -17,7 +18,7 @@ fn stable_projection(n: usize, seed: u64) -> (ReChordNetwork, Projection) {
 fn all_non_wrap_chord_edges_realized() {
     for (n, seed) in [(8usize, 1u64), (20, 2), (48, 3), (105, 4)] {
         let (net, p) = stable_projection(n, seed);
-        let cov = chord_coverage(&p, &net.real_ids());
+        let cov = chord_coverage(&p, &StableTopology::new(&net.real_ids()));
         assert!(
             cov.missing_linear.is_empty(),
             "n={n}: non-wrap Chord edges missing: {:?}",
@@ -37,7 +38,7 @@ fn wrap_edges_are_closed_by_the_ring_chain() {
     // extremal ring edges (the paper's phase-3 closure).
     for (n, seed) in [(20usize, 7u64), (48, 8)] {
         let (net, p) = stable_projection(n, seed);
-        let cov = chord_coverage(&p, &net.real_ids());
+        let cov = chord_coverage(&p, &StableTopology::new(&net.real_ids()));
         assert!(p.strongly_connected(), "n={n}");
         for (u, w) in &cov.missing_wrap {
             // the wrap edge's endpoints are mutually reachable by definition
@@ -53,13 +54,14 @@ fn oracle_chord_is_subgraph_of_oracle_rechord_projection() {
     // topology and check the Chord edges against it.
     for n in [4usize, 12, 40] {
         let topo = TopologyKind::Random.generate(n, 0xc0de + n as u64);
-        let mut desired = oracle::desired_unmarked(&topo.ids);
-        if let Some((a, b)) = oracle::desired_ring_pair(&topo.ids) {
+        let target = StableTopology::new(&topo.ids);
+        let mut desired: OverlayGraph = target.desired_unmarked().collect();
+        if let Some((a, b)) = target.ring_pair() {
             desired.add_edge(a);
             desired.add_edge(b);
         }
         let p = Projection::from_overlay(&desired);
-        let cov = chord_coverage(&p, &topo.ids);
+        let cov = chord_coverage(&p, &target);
         assert!(
             cov.missing_linear.is_empty(),
             "n={n}: oracle itself misses non-wrap edges {:?}",
@@ -73,8 +75,8 @@ fn projected_degree_stays_logarithmic() {
     // §2.2: |E_u ∪ E_r| ≤ 4·|E_Chord| — per-peer projected degree is
     // O(log n) w.h.p. (one constant per simulated virtual node).
     let (net, p) = stable_projection(64, 21);
-    let levels = oracle::stable_levels(&net.real_ids());
-    let max_levels = levels.values().copied().max().unwrap() as usize;
+    let target = StableTopology::new(&net.real_ids());
+    let max_levels = usize::from(target.nodes().iter().map(|n| n.level).max().unwrap());
     let bound = 6 * (max_levels + 1) + 8;
     assert!(
         p.max_out_degree() <= bound,
@@ -89,8 +91,8 @@ fn virtual_node_positions_realize_finger_targets() {
     // u + 1/2^i, so its closest-right-real edge is the Chord finger.
     let (net, p) = stable_projection(32, 33);
     let ids = net.real_ids();
-    for e in oracle::chord_edges(&ids) {
-        if let oracle::ChordEdgeKind::Finger(_) = e.kind {
+    for e in StableTopology::new(&ids).chord_edges() {
+        if let ChordEdgeKind::Finger(_) = e.kind {
             if !e.crosses_wrap() {
                 assert!(p.has_edge(e.from, e.to), "finger {:?} not realized", e);
             }

@@ -271,7 +271,7 @@ fn classic_chord_run_matches_its_golden() {
     // Classic Chord from the same kind of start: its deliveries do not
     // commute, so this pins the engine's delivery order itself.
     let topo = TopologyKind::Random.generate(32, 5);
-    let mut engine = Engine::new(ChordProtocol, 1);
+    let mut engine = Engine::new(ChordProtocol);
     for &id in &topo.ids {
         engine.insert_node(id, ChordState::with_contacts([]));
     }
