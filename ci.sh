@@ -35,6 +35,14 @@ run cargo test -q --offline
 # 3. Every target must at least compile.
 run cargo check --workspace --all-targets --offline
 
+# 3a. Every example runs in release mode and passes its own asserts:
+#     dht_lookup and visualize exercise the projection, routing-table and
+#     snapshot APIs (visualize writes its .dot files under the git-ignored
+#     results/).
+for ex in churn_recovery dht_lookup partition_heal quickstart traffic_storm visualize; do
+  run cargo run --release --offline -q --example "$ex"
+done
+
 # 3b. The traffic subsystem smoke test: a tiny deterministic run of all
 #     five workload scenarios (including the million-key paced-repair one),
 #     with built-in SLO assertions (availability dips under churn and

@@ -75,11 +75,6 @@ impl Histogram {
         self.max
     }
 
-    /// Per-bucket counts, lowest bucket first.
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// The `q`-quantile estimated at bucket resolution: the inclusive upper
     /// edge of the first bucket at which the cumulative count reaches
     /// `ceil(q * total)`. The true max is returned for the last bucket (it
@@ -134,7 +129,7 @@ mod tests {
         let mut h = Histogram::new(10, 4);
         h.record_all([0, 5, 9, 10, 25, 39]);
         assert_eq!(h.count(), 6);
-        assert_eq!(h.bucket_counts(), &[3, 1, 1, 1]);
+        assert_eq!(h.counts, [3, 1, 1, 1]);
         assert_eq!(h.clamped(), 0);
         assert_eq!(h.max(), 39);
         assert!((h.mean() - 88.0 / 6.0).abs() < 1e-12);
@@ -144,7 +139,7 @@ mod tests {
     fn clamps_overflow_into_last_bucket() {
         let mut h = Histogram::new(10, 3);
         h.record_all([5, 100, 1_000]);
-        assert_eq!(h.bucket_counts(), &[1, 0, 2]);
+        assert_eq!(h.counts, [1, 0, 2]);
         assert_eq!(h.clamped(), 2);
         assert_eq!(h.max(), 1_000);
     }

@@ -225,17 +225,6 @@ impl AdversaryMap {
             .collect()
     }
 
-    /// All flaky peers with their drop probability, ascending.
-    pub fn flaky_peers(&self) -> Vec<(Ident, f64)> {
-        self.policies
-            .iter()
-            .filter_map(|(&id, b)| match b {
-                Behavior::Flaky(p) => Some((id, *p)),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// True iff every peer is honest.
     pub fn is_all_honest(&self) -> bool {
         self.policies.is_empty()
@@ -446,7 +435,11 @@ mod tests {
         let crimes = CrimeSet::single(Crime::MisrouteForward);
         let map = AdversaryMap::assign(&peers, 0.25, crimes, 0.25, 0.5, 7);
         let byz: BTreeSet<Ident> = map.byzantine_peers().into_iter().collect();
-        let flaky: BTreeSet<Ident> = map.flaky_peers().into_iter().map(|(id, _)| id).collect();
+        let flaky: BTreeSet<Ident> = peers
+            .iter()
+            .copied()
+            .filter(|&id| matches!(map.behavior_of(id), Behavior::Flaky(_)))
+            .collect();
         assert_eq!(byz.len(), 5);
         assert_eq!(flaky.len(), 5);
         assert!(byz.is_disjoint(&flaky));

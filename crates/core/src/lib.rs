@@ -47,6 +47,7 @@
 //!   `rechord_sim::SyncProtocol`;
 //! * [`network`] — [`ReChordNetwork`], the user-facing handle: build from an
 //!   initial topology, run to stability, join/leave/crash peers, snapshot;
+//!   [`network::Overlay`], the overlay read off peer states for the checks;
 //! * [`oracle`] — the *target* stable topology, one value computed once
 //!   from the identifier set (what the protocol must converge to), plus the
 //!   Chord edge set for Fact 2.1;

@@ -1,12 +1,13 @@
-//! The quantities the paper's evaluation plots (Figures 5–7, Lemma 3.1).
+//! The quantities the paper's evaluation plots (Figures 5–7, Lemma 3.1),
+//! measured on the live peer states: the edge totals count the edges of
+//! their [`Overlay`], which every other check reads too.
 
-use crate::network::snapshot_states;
+use crate::network::Overlay;
 use crate::protocol::ReChordProtocol;
-use rechord_graph::{EdgeCounts, OverlayGraph};
-use rechord_id::Ident;
+use rechord_graph::EdgeCounts;
 use rechord_sim::Engine;
 
-/// A measurement of one network snapshot.
+/// A measurement of one network state.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct NetworkMetrics {
     /// `n`: number of peers (real nodes).
@@ -23,16 +24,29 @@ pub struct NetworkMetrics {
 }
 
 impl NetworkMetrics {
-    /// Measures the live state of `engine`'s peers.
+    /// Measures the live state of `engine`'s peers. Only simulated virtual
+    /// nodes count: an edge to a level its owner does not simulate names no
+    /// node of a gap.
     pub fn of(engine: &Engine<ReChordProtocol>) -> Self {
-        let mut virtuals: Vec<Ident> = engine
-            .iter()
-            .flat_map(|(id, st)| {
-                st.levels.keys().filter(|&&l| l > 0).map(move |&l| id.virtual_position(l))
-            })
-            .collect();
-        virtuals.sort_unstable();
-        measure(&snapshot_states(engine.iter()), engine.ids(), &virtuals)
+        let reals = engine.ids();
+        // Virtual nodes per clockwise gap between consecutive reals, each
+        // counted at the real at or before it (cyclically).
+        let gaps = reals.len().max(1);
+        let mut per_gap = vec![0usize; gaps];
+        for (id, st) in engine.iter() {
+            for &level in st.levels.keys().filter(|&&l| l > 0) {
+                let at = reals.partition_point(|r| *r <= id.virtual_position(level));
+                per_gap[at.checked_sub(1).unwrap_or(gaps - 1)] += 1;
+            }
+        }
+        let virtual_nodes = per_gap.iter().sum();
+        NetworkMetrics {
+            real_nodes: reals.len(),
+            virtual_nodes,
+            edges: Overlay::new(engine.iter()).edges().collect(),
+            max_virtuals_per_gap: per_gap.iter().copied().max().unwrap_or(0),
+            mean_virtuals_per_gap: virtual_nodes as f64 / gaps as f64,
+        }
     }
 
     /// Figure 5's "virtual nodes" series.
@@ -56,61 +70,36 @@ impl NetworkMetrics {
     }
 }
 
-/// Measures a snapshot. `real_ids` are the live peers; `virtual_positions`
-/// are the positions of all *simulated* virtual nodes (snapshot targets can
-/// reference phantom levels, so the caller supplies the authoritative set).
-pub fn measure(
-    snapshot: &OverlayGraph,
-    real_ids: &[Ident],
-    virtual_positions: &[Ident],
-) -> NetworkMetrics {
-    let mut sorted_reals: Vec<Ident> = real_ids.to_vec();
-    sorted_reals.sort_unstable();
-
-    // Virtual nodes per real gap: count virtual positions in each clockwise
-    // arc between consecutive reals.
-    let (max_gap, mean_gap) = if sorted_reals.len() < 2 {
-        (virtual_positions.len(), virtual_positions.len() as f64)
-    } else {
-        let mut counts = vec![0usize; sorted_reals.len()];
-        for &vp in virtual_positions {
-            // gap index: the real predecessor of vp (cyclic)
-            let idx = match sorted_reals.binary_search(&vp) {
-                Ok(i) => i,
-                Err(0) => sorted_reals.len() - 1, // wraps before the first real
-                Err(i) => i - 1,
-            };
-            counts[idx] += 1;
-        }
-        let max = counts.iter().copied().max().unwrap_or(0);
-        let mean = counts.iter().sum::<usize>() as f64 / counts.len() as f64;
-        (max, mean)
-    };
-
-    NetworkMetrics {
-        real_nodes: sorted_reals.len(),
-        virtual_nodes: virtual_positions.len(),
-        edges: snapshot.edge_counts(),
-        max_virtuals_per_gap: max_gap,
-        mean_virtuals_per_gap: mean_gap,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rechord_graph::{Edge, NodeRef};
+    use crate::network::ReChordNetwork;
+    use crate::state::{PeerState, VirtualState};
+    use rechord_graph::NodeRef;
+    use rechord_id::Ident;
 
     fn id(x: f64) -> Ident {
         Ident::from_f64(x)
     }
 
+    /// A peer at `x` simulating `levels` besides its real node.
+    fn peer(x: f64, levels: &[u8]) -> (Ident, PeerState) {
+        let mut st = PeerState::new();
+        for &l in levels {
+            st.levels.insert(l, VirtualState::default());
+        }
+        (id(x), st)
+    }
+
+    fn metrics(peers: Vec<(Ident, PeerState)>) -> NetworkMetrics {
+        ReChordNetwork::from_raw_states(peers, 1).metrics()
+    }
+
     #[test]
     fn gap_attribution_is_cyclic() {
-        let reals = vec![id(0.2), id(0.8)];
-        // virtuals at 0.3 (gap of 0.2), 0.9 and 0.1 (both in the 0.8→0.2 gap)
-        let virts = vec![id(0.3), id(0.9), id(0.1)];
-        let m = measure(&OverlayGraph::new(), &reals, &virts);
+        // 0.2 simulates 0.325 (its own gap); 0.8 simulates 0.925 and 0.05,
+        // both in the 0.8 → 0.2 gap across the wrap.
+        let m = metrics(vec![peer(0.2, &[3]), peer(0.8, &[2, 3])]);
         assert_eq!(m.max_virtuals_per_gap, 2);
         assert!((m.mean_virtuals_per_gap - 1.5).abs() < 1e-12);
         assert_eq!(m.total_nodes(), 5);
@@ -118,11 +107,13 @@ mod tests {
 
     #[test]
     fn edge_series_split_matches_figure5() {
-        let a = NodeRef::real(id(0.1));
-        let b = NodeRef::real(id(0.5));
-        let g: OverlayGraph =
-            [Edge::unmarked(a, b), Edge::ring(b, a), Edge::connection(a, b)].into_iter().collect();
-        let m = measure(&g, &[id(0.1), id(0.5)], &[]);
+        let (a, mut sa) = peer(0.1, &[]);
+        let (b, mut sb) = peer(0.5, &[]);
+        let vs = sa.level_mut(0).unwrap();
+        vs.nu.insert(NodeRef::real(b));
+        vs.nc.insert(NodeRef::real(b));
+        sb.level_mut(0).unwrap().nr.insert(NodeRef::real(a));
+        let m = metrics(vec![(a, sa), (b, sb)]);
         assert_eq!(m.normal_edges(), 2, "unmarked + ring");
         assert_eq!(m.connection_edges(), 1);
         assert_eq!(m.total_edges(), 3);
@@ -130,7 +121,8 @@ mod tests {
 
     #[test]
     fn single_real_attributes_all_virtuals_to_it() {
-        let m = measure(&OverlayGraph::new(), &[id(0.4)], &[id(0.9), id(0.65)]);
+        // 0.4 simulates 0.9 and 0.65.
+        let m = metrics(vec![peer(0.4, &[1, 2])]);
         assert_eq!(m.max_virtuals_per_gap, 2);
         assert_eq!(m.real_nodes, 1);
         assert_eq!(m.virtual_nodes, 2);

@@ -4,11 +4,12 @@ use crate::metrics::NetworkMetrics;
 use crate::oracle::StableTopology;
 use crate::protocol::ReChordProtocol;
 use crate::stability::StableStateAudit;
-use crate::state::PeerState;
-use rechord_graph::{Edge, EdgeKind, NodeRef, OverlayGraph};
+use crate::state::{PeerState, VirtualState};
+use rechord_graph::{connectivity, Edge, EdgeKind, NodeRef, OverlayGraph};
 use rechord_id::Ident;
 use rechord_sim::{Engine, FixpointReport, RoundOutcome};
 use rechord_topology::InitialTopology;
+use std::collections::BTreeMap;
 
 /// A Re-Chord overlay network under simulation.
 ///
@@ -129,7 +130,9 @@ impl ReChordNetwork {
         self.engine.run_until_fixpoint(max_rounds)
     }
 
-    /// Flattens the current global state into an [`OverlayGraph`].
+    /// Collects the current [`Overlay`] into an [`OverlayGraph`], for
+    /// rendering and for comparing two runs; the checks read the overlay
+    /// itself.
     pub fn snapshot(&self) -> OverlayGraph {
         snapshot_states(self.engine.iter())
     }
@@ -162,24 +165,99 @@ impl ReChordNetwork {
     }
 }
 
-/// Materializes the overlay graph of an arbitrary collection of peer
-/// states — the body of [`ReChordNetwork::snapshot`], exposed so drivers
-/// that hold states outside an engine (e.g. the transport layer collecting
-/// them from real processes) produce byte-identical snapshots.
+/// The overlay `G = (V, E_u ∪ E_r ∪ E_c)` of a set of peer states (paper
+/// §2.2), read off their neighbourhoods: its nodes are every node a peer
+/// simulates and every node an edge names, its edges the neighbourhoods'
+/// entries without self-references. This is the one definition of the
+/// overlay: the phases, the audit, the projection and the metrics read it,
+/// and [`snapshot_states`] collects it into an [`OverlayGraph`].
+pub struct Overlay<'a> {
+    /// The simulated nodes with their states, by peer, then level.
+    simulated: Vec<(NodeRef, &'a VirtualState)>,
+    /// The nodes that only edges name, ascending.
+    named: Vec<NodeRef>,
+    /// Every edge as its source's number, its target's number and its
+    /// class. A simulated node's number is its position in `simulated`; the
+    /// `k`-th node that only edges name, in the order they first do, has
+    /// `simulated.len() + k`.
+    numbered: Vec<(usize, usize, EdgeKind)>,
+}
+
+impl<'a> Overlay<'a> {
+    /// Reads the overlay of `states`, whose peers must be distinct.
+    pub fn new(states: impl IntoIterator<Item = (Ident, &'a PeerState)>) -> Self {
+        let mut states: Vec<(Ident, &PeerState)> = states.into_iter().collect();
+        states.sort_unstable_by_key(|&(id, _)| id);
+        // Per peer: its levels as bits (all at most `MAX_LEVEL`) and where
+        // its nodes start in `simulated`.
+        let mut peers: Vec<(Ident, u128, usize)> = Vec::with_capacity(states.len());
+        let mut simulated = Vec::new();
+        for (owner, st) in states {
+            let levels = st.levels.keys().fold(0, |bits, &level| bits | 1 << level);
+            peers.push((owner, levels, simulated.len()));
+            simulated.extend(st.levels.iter().map(|(&level, vs)| (NodeRef { owner, level }, vs)));
+        }
+        let position = |node: &NodeRef| {
+            let peer = peers.binary_search_by_key(&node.owner, |&(id, _, _)| id).ok()?;
+            let (_, levels, first) = peers[peer];
+            let below = (levels & ((1 << node.level) - 1)).count_ones() as usize;
+            (levels >> node.level & 1 == 1).then_some(first + below)
+        };
+        let mut named: BTreeMap<NodeRef, usize> = BTreeMap::new();
+        let mut numbered = Vec::new();
+        for (at, &(from, vs)) in simulated.iter().enumerate() {
+            for e in edges_of(from, vs) {
+                let next = simulated.len() + named.len();
+                let to = position(&e.to).unwrap_or_else(|| *named.entry(e.to).or_insert(next));
+                numbered.push((at, to, e.kind));
+            }
+        }
+        Overlay { named: named.into_keys().collect(), simulated, numbered }
+    }
+
+    /// Every node, ascending.
+    pub fn nodes(&self) -> Vec<NodeRef> {
+        let mut nodes: Vec<NodeRef> = self.simulated.iter().map(|&(n, _)| n).collect();
+        nodes.extend_from_slice(&self.named);
+        nodes.sort_unstable();
+        nodes
+    }
+
+    /// Every edge, in [`OverlayGraph::edges`] order: by source node, then
+    /// class, then target.
+    pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
+        let mut sources = self.simulated.clone();
+        sources.sort_unstable_by_key(|&(from, _)| from);
+        sources.into_iter().flat_map(|(from, vs)| edges_of(from, vs))
+    }
+
+    /// Number of weakly connected components of all the nodes over the
+    /// edges of the classes `kinds` (direction ignored).
+    pub fn components(&self, kinds: &[EdgeKind]) -> usize {
+        let edges = self.numbered.iter().filter(|(_, _, kind)| kinds.contains(kind));
+        let nodes = self.simulated.len() + self.named.len();
+        connectivity::components(nodes, edges.map(|&(from, to, _)| (from, to)))
+    }
+}
+
+/// The out-edges of the node `from` with state `vs`, by class, then target.
+fn edges_of(from: NodeRef, vs: &VirtualState) -> impl Iterator<Item = Edge> + '_ {
+    EdgeKind::ALL.into_iter().flat_map(move |kind| {
+        vs.of(kind).iter().filter(move |&&to| to != from).map(move |&to| Edge { from, to, kind })
+    })
+}
+
+/// Collects the [`Overlay`] of `states` into an [`OverlayGraph`] — the body
+/// of [`ReChordNetwork::snapshot`], exposed so drivers that hold states
+/// outside an engine (e.g. the transport layer collecting them from real
+/// processes) produce byte-identical snapshots.
 pub fn snapshot_states<'a>(
     states: impl IntoIterator<Item = (Ident, &'a PeerState)>,
 ) -> OverlayGraph {
-    let mut g = OverlayGraph::new();
-    for (id, st) in states {
-        for (&lvl, vs) in &st.levels {
-            let from = PeerState::node_ref(id, lvl);
-            g.add_node(from);
-            for kind in EdgeKind::ALL {
-                for &to in vs.of(kind) {
-                    g.add_edge(Edge { from, to, kind });
-                }
-            }
-        }
+    let overlay = Overlay::new(states);
+    let mut g: OverlayGraph = overlay.edges().collect();
+    for n in overlay.nodes() {
+        g.add_node(n);
     }
     g
 }
@@ -200,6 +278,21 @@ mod tests {
         let second = topo.ids[1];
         let st = net.engine().state(first).unwrap();
         assert!(st.level(0).unwrap().nu.contains(&NodeRef::real(second)));
+    }
+
+    #[test]
+    fn overlay_nodes_are_simulated_or_named() {
+        let (a, b) = (Ident::from_f64(0.2), Ident::from_f64(0.6));
+        let mut sa = PeerState::new();
+        sa.levels.insert(64, VirtualState::default());
+        let mut sb = PeerState::new();
+        let vs = sb.level_mut(0).unwrap();
+        vs.nu.insert(NodeRef::virtual_node(a, 64)); // simulated
+        vs.nc.insert(NodeRef::virtual_node(a, 63)); // only named
+        let overlay = Overlay::new([(a, &sa), (b, &sb)]);
+        assert_eq!(overlay.nodes().len(), 4);
+        assert_eq!(overlay.components(&EdgeKind::ALL), 2, "a_0 stands alone");
+        assert_eq!(overlay.components(&[EdgeKind::Unmarked]), 3);
     }
 
     #[test]

@@ -19,13 +19,14 @@
 //! Phases 2–5 are read off one [`Comparison`] of the peer states with the
 //! [`StableTopology`]: no pred/succ edge missing, the ring pair present, no
 //! real-target edge missing, no extra edge. Phase 1 is a connectivity
-//! question over the unmarked edges of a snapshot.
+//! question over the nodes and unmarked edges of the [`Overlay`] the same
+//! states hold.
 
-use crate::network::snapshot_states;
+use crate::network::Overlay;
 use crate::oracle::StableTopology;
 use crate::protocol::ReChordProtocol;
 use crate::stability::Comparison;
-use rechord_graph::{connectivity, EdgeKind, OverlayGraph};
+use rechord_graph::EdgeKind;
 use rechord_sim::Engine;
 
 /// Which phase predicates currently hold.
@@ -46,17 +47,12 @@ pub struct PhaseStatus {
 impl PhaseStatus {
     /// Evaluates the five predicates on the states of `engine`'s peers.
     pub fn new(target: &StableTopology, engine: &Engine<ReChordProtocol>) -> Self {
-        // Phase 1 counts every node of the snapshot, including nodes that
+        // Phase 1 counts every node of the overlay, including nodes that
         // are only referenced.
-        let snapshot = snapshot_states(engine.iter());
-        let mut unmarked: OverlayGraph =
-            snapshot.edges().filter(|e| e.kind == EdgeKind::Unmarked).collect();
-        for n in snapshot.nodes() {
-            unmarked.add_node(*n);
-        }
+        let unmarked = Overlay::new(engine.iter()).components(&[EdgeKind::Unmarked]);
         let cmp = Comparison::new(target, engine);
         PhaseStatus {
-            connected_unmarked: connectivity::weakly_connected(&unmarked),
+            connected_unmarked: unmarked <= 1,
             linearized: cmp.missing_linear == 0,
             ring_closed: cmp.ring_pair_present,
             real_neighbors: cmp.missing_real == 0,

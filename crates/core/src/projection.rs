@@ -5,10 +5,11 @@
 //! — the overlay actually visible to applications: an edge between real
 //! peers `u` and `v` whenever any node simulated by `u` holds an unmarked or
 //! ring edge to `v`'s real node. Connection edges never participate
-//! ("they do not participate in the routing").
+//! ("they do not participate in the routing"). The audit projects the
+//! [`Overlay`](crate::network::Overlay) of the peers' states.
 
 use crate::oracle::StableTopology;
-use rechord_graph::{EdgeKind, OverlayGraph};
+use rechord_graph::{Edge, EdgeKind, NodeRef};
 use rechord_id::Ident;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -19,20 +20,20 @@ pub struct Projection {
 }
 
 impl Projection {
-    /// Projects an overlay snapshot onto its real peers.
-    pub fn from_overlay(g: &OverlayGraph) -> Self {
-        let mut adj: BTreeMap<Ident, BTreeSet<Ident>> = BTreeMap::new();
-        for n in g.nodes() {
-            adj.entry(n.owner).or_default();
-        }
-        for e in g.edges() {
-            if e.kind == EdgeKind::Connection || !e.to.is_real() {
-                continue;
+    /// Projects the overlay with nodes `nodes` and edges `edges` (of an
+    /// [`Overlay`](crate::network::Overlay), or of a graph) onto the nodes'
+    /// owners.
+    pub fn new(
+        nodes: impl IntoIterator<Item = NodeRef>,
+        edges: impl IntoIterator<Item = Edge>,
+    ) -> Self {
+        let mut adj: BTreeMap<Ident, BTreeSet<Ident>> =
+            nodes.into_iter().map(|n| (n.owner, BTreeSet::new())).collect();
+        for e in edges {
+            // (u, u) is not an overlay edge.
+            if e.kind != EdgeKind::Connection && e.to.is_real() && e.from.owner != e.to.owner {
+                adj.entry(e.from.owner).or_default().insert(e.to.owner);
             }
-            if e.from.owner == e.to.owner {
-                continue; // (u, u) is not an overlay edge
-            }
-            adj.entry(e.from.owner).or_default().insert(e.to.owner);
         }
         Self { adj }
     }
@@ -172,7 +173,11 @@ pub fn chord_coverage(projection: &Projection, target: &StableTopology) -> Chord
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rechord_graph::{Edge, NodeRef};
+    use rechord_graph::OverlayGraph;
+
+    fn project(g: &OverlayGraph) -> Projection {
+        Projection::new(g.nodes().copied(), g.edges())
+    }
 
     fn r(x: f64) -> NodeRef {
         NodeRef::real(Ident::from_f64(x))
@@ -185,7 +190,7 @@ mod tests {
     #[test]
     fn virtual_source_projects_to_owner() {
         let g: OverlayGraph = [Edge::unmarked(v(0.1, 2), r(0.7))].into_iter().collect();
-        let p = Projection::from_overlay(&g);
+        let p = project(&g);
         assert!(p.has_edge(Ident::from_f64(0.1), Ident::from_f64(0.7)));
         assert_eq!(p.edge_count(), 1);
     }
@@ -195,21 +200,21 @@ mod tests {
         let g: OverlayGraph = [Edge::unmarked(r(0.1), v(0.7, 1)), Edge::connection(r(0.1), r(0.7))]
             .into_iter()
             .collect();
-        let p = Projection::from_overlay(&g);
+        let p = project(&g);
         assert_eq!(p.edge_count(), 0, "neither edge projects");
     }
 
     #[test]
     fn ring_edges_project() {
         let g: OverlayGraph = [Edge::ring(v(0.9, 1), r(0.05))].into_iter().collect();
-        let p = Projection::from_overlay(&g);
+        let p = project(&g);
         assert!(p.has_edge(Ident::from_f64(0.9), Ident::from_f64(0.05)));
     }
 
     #[test]
     fn own_peer_edges_collapse() {
         let g: OverlayGraph = [Edge::unmarked(v(0.2, 1), r(0.2))].into_iter().collect();
-        let p = Projection::from_overlay(&g);
+        let p = project(&g);
         assert_eq!(p.edge_count(), 0, "(u,u) is not an overlay edge");
     }
 
@@ -222,10 +227,10 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        assert!(Projection::from_overlay(&cycle).strongly_connected());
+        assert!(project(&cycle).strongly_connected());
         let path: OverlayGraph =
             [Edge::unmarked(r(0.1), r(0.5)), Edge::unmarked(r(0.5), r(0.9))].into_iter().collect();
-        assert!(!Projection::from_overlay(&path).strongly_connected());
+        assert!(!project(&path).strongly_connected());
     }
 
     #[test]
@@ -233,7 +238,7 @@ mod tests {
         let ids = vec![Ident::from_f64(0.1), Ident::from_f64(0.6)];
         // Projection with only the forward (0.1 → 0.6) edge.
         let g: OverlayGraph = [Edge::unmarked(r(0.1), r(0.6))].into_iter().collect();
-        let p = Projection::from_overlay(&g);
+        let p = project(&g);
         let cov = chord_coverage(&p, &StableTopology::new(&ids));
         assert!(cov.present >= 1);
         assert_eq!(cov.present + cov.missing_wrap.len() + cov.missing_linear.len(), cov.total);

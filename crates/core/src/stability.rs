@@ -12,14 +12,15 @@
 //! **Stable** (the paper's legal state) is a fixpoint of the round, which
 //! the engine detects as "round changed nothing";
 //! [`StableStateAudit::is_clean`] accepts or rejects the state it reached.
-//! Only the audit's connectivity, projection and Fact 2.1 fields and phase
-//! 1 read an [`OverlayGraph`](rechord_graph::OverlayGraph) snapshot.
+//! The audit's connectivity, projection and Fact 2.1 fields, like phase 1,
+//! read the [`Overlay`] of the same states; no check builds an
+//! [`OverlayGraph`](rechord_graph::OverlayGraph).
 
-use crate::network::snapshot_states;
+use crate::network::Overlay;
 use crate::oracle::StableTopology;
 use crate::projection::{chord_coverage, ChordCoverage, Projection};
 use crate::protocol::ReChordProtocol;
-use rechord_graph::{connectivity, Edge, NodeRef};
+use rechord_graph::{Edge, EdgeKind, NodeRef};
 use rechord_sim::Engine;
 
 /// Live peer states held against a [`StableTopology`].
@@ -125,13 +126,13 @@ impl StableStateAudit {
     /// against `target`.
     pub fn new(target: &StableTopology, engine: &Engine<ReChordProtocol>) -> Self {
         let cmp = Comparison::new(target, engine);
-        let snapshot = snapshot_states(engine.iter());
-        let projection = Projection::from_overlay(&snapshot);
+        let overlay = Overlay::new(engine.iter());
+        let projection = Projection::new(overlay.nodes(), overlay.edges());
         StableStateAudit {
             missing_unmarked: cmp.missing_unmarked,
             extra_unmarked: cmp.extra_unmarked,
             ring_pair_present: cmp.ring_pair_present,
-            weakly_connected: connectivity::weakly_connected(&snapshot),
+            weakly_connected: overlay.components(&EdgeKind::ALL) <= 1,
             projection_strongly_connected: projection.strongly_connected(),
             chord: chord_coverage(&projection, target),
             virtual_set_matches: cmp.virtual_set_matches,

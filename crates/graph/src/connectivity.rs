@@ -4,15 +4,18 @@
 //! reachable, i.e. the initial directed graph is **weakly connected** (paper
 //! §2.1). The convergence proof additionally tracks connectivity of the
 //! *real-peer* projection (an edge `(u_i, v_j)` of any class weakly connects
-//! peers `u` and `v`). This module provides a union-find and both checks.
+//! peers `u` and `v`). [`components`] is the one union-find count, over
+//! numbered nodes: the checks of `rechord_core` feed it the overlay read off
+//! peer states, and the functions over an [`OverlayGraph`] feed it the
+//! graph's nodes, or its peers, and its edges.
 
 use crate::{NodeRef, OverlayGraph};
 use rechord_id::Ident;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 /// Disjoint-set forest with path halving and union by size.
 #[derive(Clone, Debug)]
-pub struct UnionFind {
+struct UnionFind {
     parent: Vec<usize>,
     size: Vec<usize>,
     components: usize,
@@ -20,12 +23,12 @@ pub struct UnionFind {
 
 impl UnionFind {
     /// `n` singleton sets.
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         UnionFind { parent: (0..n).collect(), size: vec![1; n], components: n }
     }
 
     /// Representative of `x`'s set.
-    pub fn find(&mut self, mut x: usize) -> usize {
+    fn find(&mut self, mut x: usize) -> usize {
         while self.parent[x] != x {
             self.parent[x] = self.parent[self.parent[x]]; // path halving
             x = self.parent[x];
@@ -34,7 +37,7 @@ impl UnionFind {
     }
 
     /// Merges the sets of `a` and `b`; returns `true` if they were distinct.
-    pub fn union(&mut self, a: usize, b: usize) -> bool {
+    fn union(&mut self, a: usize, b: usize) -> bool {
         let (mut ra, mut rb) = (self.find(a), self.find(b));
         if ra == rb {
             return false;
@@ -47,16 +50,17 @@ impl UnionFind {
         self.components -= 1;
         true
     }
+}
 
-    /// Number of disjoint sets remaining.
-    pub fn component_count(&self) -> usize {
-        self.components
+/// Number of weakly connected components of the graph on the nodes
+/// `0..nodes` whose edges are `edges` (direction ignored). No nodes means
+/// no components.
+pub fn components(nodes: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> usize {
+    let mut uf = UnionFind::new(nodes);
+    for (a, b) in edges {
+        uf.union(a, b);
     }
-
-    /// Are `a` and `b` in the same set?
-    pub fn connected(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
-    }
+    uf.components
 }
 
 /// Is the multigraph weakly connected over **all** nodes (edges of every
@@ -68,15 +72,9 @@ pub fn weakly_connected(g: &OverlayGraph) -> bool {
 
 /// Number of weakly connected components over all nodes.
 pub fn component_count(g: &OverlayGraph) -> usize {
-    let index: BTreeMap<&NodeRef, usize> = g.nodes().enumerate().map(|(i, n)| (n, i)).collect();
-    if index.is_empty() {
-        return 0;
-    }
-    let mut uf = UnionFind::new(index.len());
-    for e in g.edges() {
-        uf.union(index[&e.from], index[&e.to]);
-    }
-    uf.component_count()
+    let nodes: Vec<NodeRef> = g.nodes().copied().collect();
+    let at = |n: NodeRef| nodes.binary_search(&n).expect("every edge endpoint is a node");
+    components(nodes.len(), g.edges().map(|e| (at(e.from), at(e.to))))
 }
 
 /// Is the **real-peer projection** weakly connected? Two peers are joined
@@ -89,19 +87,10 @@ pub fn peers_weakly_connected(g: &OverlayGraph) -> bool {
 
 /// Number of weakly connected components of the real-peer projection.
 pub fn peer_component_count(g: &OverlayGraph) -> usize {
-    let mut owners: BTreeMap<Ident, usize> = BTreeMap::new();
-    for n in g.nodes() {
-        let next = owners.len();
-        owners.entry(n.owner).or_insert(next);
-    }
-    if owners.is_empty() {
-        return 0;
-    }
-    let mut uf = UnionFind::new(owners.len());
-    for e in g.edges() {
-        uf.union(owners[&e.from.owner], owners[&e.to.owner]);
-    }
-    uf.component_count()
+    let peers: Vec<Ident> =
+        g.nodes().map(|n| n.owner).collect::<BTreeSet<_>>().into_iter().collect();
+    let at = |p: Ident| peers.binary_search(&p).expect("every edge endpoint is a node");
+    components(peers.len(), g.edges().map(|e| (at(e.from.owner), at(e.to.owner))))
 }
 
 #[cfg(test)]
@@ -120,15 +109,21 @@ mod tests {
     #[test]
     fn union_find_basics() {
         let mut uf = UnionFind::new(4);
-        assert_eq!(uf.component_count(), 4);
+        assert_eq!(uf.components, 4);
         assert!(uf.union(0, 1));
         assert!(!uf.union(1, 0));
         assert!(uf.union(2, 3));
-        assert_eq!(uf.component_count(), 2);
-        assert!(uf.connected(0, 1));
-        assert!(!uf.connected(0, 2));
+        assert_eq!(uf.components, 2);
+        assert_eq!(uf.find(0), uf.find(1));
+        assert_ne!(uf.find(0), uf.find(2));
         uf.union(1, 3);
-        assert_eq!(uf.component_count(), 1);
+        assert_eq!(uf.components, 1);
+    }
+
+    #[test]
+    fn components_counts_numbered_nodes() {
+        assert_eq!(components(5, [(1, 0), (3, 4), (4, 3)]), 3);
+        assert_eq!(components(0, []), 0);
     }
 
     #[test]

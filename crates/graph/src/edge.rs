@@ -6,7 +6,6 @@ use core::fmt;
 /// Edge marking (paper §2.2): the multigraph may hold the same `(u,v)` pair
 /// once per class.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum EdgeKind {
     /// `E_u`: unmarked edges — the working topology that linearization sorts;
     /// only these (plus ring edges) project into the final Re-Chord network.
@@ -36,7 +35,6 @@ impl fmt::Display for EdgeKind {
 
 /// A directed, classed edge of the overlay multigraph.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Edge {
     /// Source node (the node whose neighborhood set holds the edge).
     pub from: NodeRef,
@@ -61,33 +59,16 @@ impl Edge {
     pub fn connection(from: NodeRef, to: NodeRef) -> Self {
         Edge { from, to, kind: EdgeKind::Connection }
     }
-
-    /// The edge with source and target swapped (same class). Used by
-    /// weak-connectivity arguments, not by the protocol itself.
-    pub fn reversed(self) -> Self {
-        Edge { from: self.to, to: self.from, kind: self.kind }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rechord_id::Ident;
 
     #[test]
     fn kind_display_and_order() {
         assert_eq!(EdgeKind::Unmarked.to_string(), "unmarked");
         assert_eq!(EdgeKind::ALL.len(), 3);
         assert!(EdgeKind::Unmarked < EdgeKind::Ring);
-    }
-
-    #[test]
-    fn reversal_swaps_endpoints() {
-        let a = NodeRef::real(Ident::from_f64(0.1));
-        let b = NodeRef::real(Ident::from_f64(0.9));
-        let e = Edge::ring(a, b);
-        assert_eq!(e.reversed().from, b);
-        assert_eq!(e.reversed().to, a);
-        assert_eq!(e.reversed().kind, EdgeKind::Ring);
     }
 }

@@ -10,7 +10,7 @@
 //!   level, with its derived ring position;
 //! * [`EdgeKind`] / [`Edge`] — the three edge classes;
 //! * [`OverlayGraph`] — a snapshot multigraph with per-class neighborhoods,
-//!   used by the oracle, the metrics, and the stability checks;
+//!   for rendering ([`dot`]) and as tests' reference;
 //! * [`connectivity`] — weak-connectivity analysis (the paper's precondition
 //!   "the n peers are weakly connected" and the invariant its proofs track).
 

@@ -17,7 +17,6 @@ use rechord_id::{Ident, MAX_LEVEL};
 /// with `(owner, level)` as a deterministic tie-break for the measure-zero
 /// case of two nodes occupying the same position.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeRef {
     /// The real peer simulating this node.
     pub owner: Ident,

@@ -1,9 +1,9 @@
-//! A snapshot multigraph of the overlay, used for analysis and checking.
+//! A snapshot multigraph of the overlay, for rendering and as a reference.
 //!
-//! The protocol itself keeps neighborhoods in per-node state (crate
-//! `rechord-core`); an [`OverlayGraph`] is the flattened global view `G =
-//! (V, E_u ∪ E_r ∪ E_c)` extracted at a round boundary, on which the oracle
-//! comparison, metrics, and connectivity checks operate.
+//! The protocol keeps neighborhoods in per-node state (crate `rechord_core`),
+//! and its checks read them there. An [`OverlayGraph`] collects the global
+//! view `G = (V, E_u ∪ E_r ∪ E_c)` into one value: what [`crate::dot`]
+//! renders and what tests compare runs and expected graphs by.
 
 use crate::{Edge, EdgeKind, NodeRef};
 use std::collections::btree_map::Entry;
@@ -12,7 +12,6 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Out-neighborhoods of one node, per edge class
 /// (`N_u(v)`, `N_r(v)`, `N_c(v)` of §2.2).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeAdjacency {
     /// Unmarked out-neighbors `N_u(v)`.
     pub unmarked: BTreeSet<NodeRef>,
@@ -45,7 +44,6 @@ impl NodeAdjacency {
 /// Edge totals per class — the quantities plotted in the paper's Figure 5
 /// ("normal edges" are unmarked + ring; "connection edges" are `E_c`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EdgeCounts {
     /// `|E_u|`.
     pub unmarked: usize,
@@ -74,7 +72,6 @@ impl EdgeCounts {
 /// "no more state changes" stability criterion when applied to consecutive
 /// rounds.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OverlayGraph {
     nodes: BTreeMap<NodeRef, NodeAdjacency>,
 }
@@ -88,11 +85,6 @@ impl OverlayGraph {
     /// Inserts a node with empty neighborhoods (no-op if present).
     pub fn add_node(&mut self, node: NodeRef) {
         self.nodes.entry(node).or_default();
-    }
-
-    /// Is the node present?
-    pub fn contains_node(&self, node: &NodeRef) -> bool {
-        self.nodes.contains_key(node)
     }
 
     /// Inserts an edge, creating endpoints as needed. Self-loops are
@@ -161,13 +153,7 @@ impl OverlayGraph {
 
     /// Edge totals per class.
     pub fn edge_counts(&self) -> EdgeCounts {
-        let mut c = EdgeCounts::default();
-        for adj in self.nodes.values() {
-            c.unmarked += adj.unmarked.len();
-            c.ring += adj.ring.len();
-            c.connection += adj.connection.len();
-        }
-        c
+        self.edges().collect()
     }
 
     /// Is every edge of `self` present in `other`? (Subgraph on edges; node
@@ -175,6 +161,21 @@ impl OverlayGraph {
     /// (Chord ⊆ Re-Chord) and the "almost stable" criterion of Figure 6.
     pub fn edges_subset_of(&self, other: &OverlayGraph) -> bool {
         self.edges().all(|e| other.has_edge(&e))
+    }
+}
+
+impl FromIterator<Edge> for EdgeCounts {
+    /// Counts edges by class.
+    fn from_iter<T: IntoIterator<Item = Edge>>(iter: T) -> Self {
+        let mut c = EdgeCounts::default();
+        for e in iter {
+            *match e.kind {
+                EdgeKind::Unmarked => &mut c.unmarked,
+                EdgeKind::Ring => &mut c.ring,
+                EdgeKind::Connection => &mut c.connection,
+            } += 1;
+        }
+        c
     }
 }
 
@@ -226,9 +227,8 @@ mod tests {
         let mut g: OverlayGraph =
             [Edge::unmarked(a, b), Edge::unmarked(b, c), Edge::ring(c, b)].into_iter().collect();
         g.remove_node(&b);
-        assert!(!g.contains_node(&b));
+        assert_eq!(g.nodes().copied().collect::<Vec<_>>(), [a, c]);
         assert_eq!(g.edge_counts().total(), 0, "all incident edges gone");
-        assert!(g.contains_node(&a) && g.contains_node(&c));
     }
 
     #[test]

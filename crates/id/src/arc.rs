@@ -6,7 +6,6 @@ use crate::Ident;
 /// endpoints. The arc runs clockwise from `from` to `to`; when
 /// `from == to` the arc is empty (consistent with [`Ident::in_open_arc`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RingArc {
     /// Clockwise start (excluded from the open arc).
     pub from: Ident,

@@ -13,7 +13,6 @@ pub const MAX_LEVEL: u8 = 64;
 /// edges; see README, Interpretations A2). Use [`Ident::dist_cw`] and
 /// [`Ident::in_open_arc`] for the cyclic notions.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Ident(pub u64);
 
 impl Ident {

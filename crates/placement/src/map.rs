@@ -220,11 +220,6 @@ impl<V> PlacementMap<V> {
         self.shards.values().map(Shard::len).sum()
     }
 
-    /// Total copies across all peers.
-    pub fn copy_count(&self) -> usize {
-        self.held.values().map(BTreeSet::len).sum()
-    }
-
     /// Every stored key (unordered across shards, ring-ordered within one).
     pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
         self.shards.values().flat_map(|s| s.keys().map(|&(_, k)| k))
@@ -788,12 +783,17 @@ mod tests {
         (pm, space)
     }
 
+    /// Total copies across all peers.
+    fn copies<V>(pm: &PlacementMap<V>) -> usize {
+        pm.peers().iter().map(|&p| pm.load_of(p)).sum()
+    }
+
     #[test]
     fn put_places_on_replica_window_and_lookup_hits_primary() {
         let (pm, space) = filled(8, 100, 3, 1);
         pm.check_invariants().unwrap();
         assert_eq!(pm.key_count(), 100);
-        assert_eq!(pm.copy_count(), 300);
+        assert_eq!(copies(&pm), 300);
         for k in 0..100u64 {
             let pos = space.key_position(k);
             let probe = pm.lookup(pos, k);
@@ -870,7 +870,7 @@ mod tests {
         assert_eq!(pm.load_of(victim), 0);
         pm.repair_delta();
         pm.check_invariants().unwrap();
-        assert_eq!(pm.copy_count(), 600, "repair restored full replication");
+        assert_eq!(copies(&pm), 600, "repair restored full replication");
 
         // Now crash both current replicas of one key before repairing: the
         // key must be lost, everything else must survive.

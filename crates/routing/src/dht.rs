@@ -148,6 +148,8 @@ mod tests {
     use super::*;
     use crate::greedy::RoutingTable;
     use rechord_core::network::ReChordNetwork;
+    use rechord_core::state::PeerState;
+    use rechord_graph::NodeRef;
 
     fn store(n: usize, seed: u64) -> KvStore {
         let (net, report) = ReChordNetwork::bootstrap_stable(n, seed, 1, 20_000);
@@ -224,19 +226,11 @@ mod tests {
             kv.table().peers().iter().copied().filter(|&p| p != primary).collect();
         // Build a fully-connected routing table over the survivors (the
         // overlay re-stabilizes; here the graph detail is irrelevant).
-        let mut g = rechord_graph::OverlayGraph::new();
-        for &a in &survivors {
-            for &b in &survivors {
-                if a != b {
-                    g.add_edge(rechord_graph::Edge::unmarked(
-                        rechord_graph::NodeRef::real(a),
-                        rechord_graph::NodeRef::real(b),
-                    ));
-                }
-            }
-        }
-        let fresh = RoutingTable::from_overlay(&g);
-        kv.rebuild(fresh);
+        let mesh = survivors.iter().map(|&a| {
+            let others = survivors.iter().filter(|&&b| b != a).map(|&b| NodeRef::real(b));
+            (a, PeerState::with_contacts(others))
+        });
+        kv.rebuild(RoutingTable::from_network(&ReChordNetwork::from_raw_states(mesh, 1)));
         let reader = kv.table().peers()[0];
         let (value, out) = kv.get(reader, 7).unwrap();
         assert!(out.routed);

@@ -15,15 +15,16 @@
 //! the peer's knowledge (its `rr`-edge by construction in a stable state).
 
 use rechord_core::state::PeerState;
-use rechord_graph::{EdgeKind, NodeRef, OverlayGraph};
+use rechord_graph::{EdgeKind, NodeRef};
 use rechord_id::{successor_index, Ident};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// A routing view: every peer's node-level knowledge (all unmarked and ring
-/// out-edges of all its simulated nodes, plus its own nodes). Built from an
-/// overlay snapshot in one shot, or kept current against a live network with
-/// the incremental [`RoutingTable::refresh_peer`] /
-/// [`RoutingTable::refresh_dirty`] family (no graph materialization).
+/// A routing view: every live peer's node-level knowledge (all unmarked and
+/// ring out-edges of all its simulated nodes, plus its own nodes), read off
+/// the peers' states. Built in one shot by [`RoutingTable::from_network`],
+/// or kept current against a live network with the incremental
+/// [`RoutingTable::refresh_peer`] / [`RoutingTable::refresh_dirty`] family.
+/// A peer that some state only names is no routing peer.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RoutingTable {
     peers: Vec<Ident>,
@@ -31,27 +32,17 @@ pub struct RoutingTable {
 }
 
 impl RoutingTable {
-    /// Builds the table from an overlay snapshot (usually a stable one).
-    pub fn from_overlay(g: &OverlayGraph) -> Self {
-        let mut peers: BTreeSet<Ident> = BTreeSet::new();
-        let mut knowledge: BTreeMap<Ident, BTreeSet<NodeRef>> = BTreeMap::new();
-        for n in g.nodes() {
-            peers.insert(n.owner);
-            // a peer always knows its own simulated nodes
-            knowledge.entry(n.owner).or_default().insert(*n);
-        }
-        for e in g.edges() {
-            if e.kind == EdgeKind::Connection {
-                continue; // "connection edges ... do not participate in the routing"
-            }
-            knowledge.entry(e.from.owner).or_default().insert(e.to);
-        }
-        RoutingTable { peers: peers.into_iter().collect(), knowledge }
-    }
-
-    /// Builds the table directly from a network handle.
+    /// Builds the table from the live per-peer states of a network: its
+    /// peers are the network's peers.
     pub fn from_network(net: &rechord_core::network::ReChordNetwork) -> Self {
-        Self::from_overlay(&net.snapshot())
+        let engine = net.engine();
+        RoutingTable {
+            peers: engine.ids().to_vec(),
+            knowledge: engine
+                .iter()
+                .map(|(id, st)| (id, Self::knowledge_from_state(id, st)))
+                .collect(),
+        }
     }
 
     /// All peers, ascending.
@@ -150,25 +141,9 @@ impl RoutingTable {
         }
     }
 
-    /// Rebuilds the whole view from the live per-peer states without
-    /// materializing an [`OverlayGraph`]. Equivalent to
-    /// [`RoutingTable::from_network`] on any state whose edges only point at
-    /// live, simulated nodes (always true once stabilized).
+    /// Rebuilds the whole view in place: [`RoutingTable::from_network`].
     pub fn refresh_from_network(&mut self, net: &rechord_core::network::ReChordNetwork) {
-        self.peers = net.engine().ids().to_vec();
-        self.knowledge =
-            net.engine().iter().map(|(id, st)| (id, Self::knowledge_from_state(id, st))).collect();
-    }
-
-    /// Mean/max size of per-peer knowledge (routing-table size analogue of
-    /// Chord's O(log n) state per node).
-    pub fn knowledge_summary(&self) -> (f64, usize) {
-        if self.peers.is_empty() {
-            return (0.0, 0);
-        }
-        let sizes: Vec<usize> = self.peers.iter().map(|p| self.knowledge[p].len()).collect();
-        let max = sizes.iter().copied().max().unwrap_or(0);
-        (sizes.iter().sum::<usize>() as f64 / sizes.len() as f64, max)
+        *self = Self::from_network(net);
     }
 }
 
@@ -421,15 +396,20 @@ mod tests {
     }
 
     #[test]
-    fn refresh_from_network_matches_snapshot_table_on_stable_overlay() {
-        for seed in [1u64, 7, 19] {
-            let (net, report) = ReChordNetwork::bootstrap_stable(14, seed, 1, 20_000);
-            assert!(report.converged);
-            let full = RoutingTable::from_network(&net);
-            let mut incremental = RoutingTable::default();
-            incremental.refresh_from_network(&net);
-            assert_eq!(full, incremental, "seed {seed}: incremental view diverged");
-        }
+    fn a_peer_that_is_only_named_does_not_route() {
+        // Live a names the absent b; c is live. b is no peer, so c answers
+        // for a key between a and b, and no route ends at b.
+        let [a, b, c] = [0.1, 0.5, 0.7].map(Ident::from_f64);
+        let mut named = PeerState::new();
+        named.level_mut(0).unwrap().nu.insert(NodeRef::real(b));
+        let net = ReChordNetwork::from_raw_states([(a, named), (c, PeerState::new())], 1);
+        let t = RoutingTable::from_network(&net);
+        assert_eq!(t.peers(), [a, c]);
+        assert!(t.knowledge_of(b).is_none());
+        let key = Ident::from_f64(0.45);
+        assert_eq!(t.responsible_for(key), Some(c));
+        let r = route(&t, a, key);
+        assert!(!r.success, "a route to a peer that does not exist: {:?}", r.path);
     }
 
     #[test]
@@ -513,7 +493,10 @@ mod tests {
     #[test]
     fn knowledge_summary_is_logarithmic_per_peer() {
         let t = stable_table(64, 9);
-        let (mean, max) = t.knowledge_summary();
+        let sizes: Vec<usize> =
+            t.peers().iter().map(|&p| t.knowledge_of(p).unwrap().len()).collect();
+        let mean = sizes.iter().sum::<usize>() as f64 / sizes.len() as f64;
+        let max = sizes.iter().copied().max().unwrap();
         // each simulated node contributes O(1) edges; O(log n) nodes/peer
         assert!(mean >= 4.0);
         assert!(max <= 30 * 7, "per-peer knowledge {max} should be O(log n)-ish");

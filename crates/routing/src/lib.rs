@@ -4,6 +4,7 @@
 //! subgraph, "so it can faithfully emulate any applications on top of
 //! Chord". This crate is that application layer:
 //!
+//! * [`RoutingTable`] — every live peer's knowledge, read off its state;
 //! * [`route`] — greedy Chord routing over the projected peer overlay
 //!   (§1.1's binary-search path: always hop to the neighbor that gets
 //!   closest to the key without overshooting), `O(log n)` hops w.h.p.;

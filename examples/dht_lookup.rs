@@ -11,11 +11,13 @@ use rechord::id::IdSpace;
 use rechord::routing::{KvStore, RoutingTable};
 
 fn main() {
-    // Stabilize a 40-peer overlay, then freeze its projection for routing.
+    // Stabilize a 40-peer overlay, then project it and build its routing
+    // table.
     let (net, report) = ReChordNetwork::bootstrap_stable(40, 12, 1, 100_000);
     println!("overlay of 40 peers stable after {} rounds", report.rounds_to_stable());
 
-    let projection = Projection::from_overlay(&net.snapshot());
+    let snapshot = net.snapshot();
+    let projection = Projection::new(snapshot.nodes().copied(), snapshot.edges());
     println!(
         "projected overlay: {} peers, {} directed edges, max out-degree {}",
         projection.peer_count(),
@@ -23,7 +25,7 @@ fn main() {
         projection.max_out_degree()
     );
 
-    let table = RoutingTable::from_overlay(&net.snapshot());
+    let table = RoutingTable::from_network(&net);
     let mut kv = KvStore::new(table, IdSpace::new(777));
 
     // Store a small catalogue from one peer...

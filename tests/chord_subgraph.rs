@@ -1,7 +1,7 @@
 //! Integration: Fact 2.1 — the stable Re-Chord network contains Chord as a
 //! subgraph, so Chord applications run on top unchanged.
 
-use rechord::core::network::ReChordNetwork;
+use rechord::core::network::{Overlay, ReChordNetwork};
 use rechord::core::oracle::{ChordEdgeKind, StableTopology};
 use rechord::core::projection::{chord_coverage, Projection};
 use rechord::graph::OverlayGraph;
@@ -10,7 +10,8 @@ use rechord::topology::TopologyKind;
 fn stable_projection(n: usize, seed: u64) -> (ReChordNetwork, Projection) {
     let (net, report) = ReChordNetwork::bootstrap_stable(n, seed, 2, 100_000);
     assert!(report.converged);
-    let p = Projection::from_overlay(&net.snapshot());
+    let overlay = Overlay::new(net.engine().iter());
+    let p = Projection::new(overlay.nodes(), overlay.edges());
     (net, p)
 }
 
@@ -60,7 +61,7 @@ fn oracle_chord_is_subgraph_of_oracle_rechord_projection() {
             desired.add_edge(a);
             desired.add_edge(b);
         }
-        let p = Projection::from_overlay(&desired);
+        let p = Projection::new(desired.nodes().copied(), desired.edges());
         let cov = chord_coverage(&p, &target);
         assert!(
             cov.missing_linear.is_empty(),

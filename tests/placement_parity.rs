@@ -6,6 +6,8 @@
 //! behavior so the duplication cannot creep back.)
 
 use rechord::core::network::ReChordNetwork;
+use rechord::core::PeerState;
+use rechord::graph::NodeRef;
 use rechord::id::{IdSpace, Ident};
 use rechord::placement::{Departure, PlacementMap};
 use rechord::routing::{KvStore, RoutingTable};
@@ -65,18 +67,11 @@ fn replica_sets_stay_identical_through_churn() {
     // A peer departs: rebuild the KvStore on the survivor table, delta the engine.
     let victim = table.peers()[5];
     let survivors: Vec<Ident> = table.peers().iter().copied().filter(|&p| p != victim).collect();
-    let mut g = rechord::graph::OverlayGraph::new();
-    for &a in &survivors {
-        for &b in &survivors {
-            if a != b {
-                g.add_edge(rechord::graph::Edge::unmarked(
-                    rechord::graph::NodeRef::real(a),
-                    rechord::graph::NodeRef::real(b),
-                ));
-            }
-        }
-    }
-    kv.rebuild(RoutingTable::from_overlay(&g));
+    let mesh = survivors.iter().map(|&a| {
+        let others = survivors.iter().filter(|&&b| b != a).map(|&b| NodeRef::real(b));
+        (a, PeerState::with_contacts(others))
+    });
+    kv.rebuild(RoutingTable::from_network(&ReChordNetwork::from_raw_states(mesh, 1)));
     engine.apply_leave(victim, Departure::Crash);
     engine.repair_delta();
 

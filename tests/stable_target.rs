@@ -5,9 +5,17 @@
 //! then the final audit in its `Debug` form. The record is pinned as a
 //! literal hash, recorded from the build that decided every verdict on an
 //! `OverlayGraph` snapshot (rev `1860cfa`), so a change to any verdict in
-//! any round shows. Every round also holds the state-based verdict against
-//! that graph reference: the desired edges collected into an
-//! `OverlayGraph`, checked against the snapshot.
+//! any round shows. A second record holds every round's audit fields that
+//! read the overlay's nodes and edges (connectivity, projection, Fact 2.1),
+//! pinned as a hash recorded from the build whose audit built a snapshot
+//! for them (rev `ecb0e94`).
+//!
+//! Every round also holds the state-based checks against graph references
+//! built here, as the library built them before it read peer states: the
+//! snapshot (the walk's nodes and edges, the metrics' edge counts), the
+//! desired edges (the almost-stable verdict), the unmarked subgraph
+//! (phase 1) and the projection (the audit). At the end of every run, the
+//! routing table holds against the table built from the snapshot.
 //!
 //! Corpus: every `TopologyKind` at n = 16; `Random` at n ∈ {8, 64} with
 //! seeds {1, 2, 229}; rules 2…6 each ablated at n = 24 (fixpoints that are
@@ -16,14 +24,19 @@
 
 use rechord::core::ablation::RuleMask;
 use rechord::core::adversary::mix;
-use rechord::core::network::{snapshot_states, ReChordNetwork};
+use rechord::core::metrics::NetworkMetrics;
+use rechord::core::network::{snapshot_states, Overlay, ReChordNetwork};
 use rechord::core::oracle::StableTopology;
 use rechord::core::phases::PhaseStatus;
-use rechord::core::stability::Comparison;
-use rechord::core::PeerState;
-use rechord::graph::{EdgeKind, NodeRef, OverlayGraph};
+use rechord::core::projection::{chord_coverage, Projection};
+use rechord::core::stability::{Comparison, StableStateAudit};
+use rechord::core::{PeerState, ReChordProtocol};
+use rechord::graph::{connectivity, Edge, EdgeKind, NodeRef, OverlayGraph};
 use rechord::id::Ident;
+use rechord::routing::RoutingTable;
+use rechord::sim::Engine;
 use rechord::topology::{ChurnEvent, TopologyKind};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write;
 
 /// Round cap of a run expected to reach its fixpoint.
@@ -38,11 +51,98 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
+/// The overlay graph of `engine`'s states, built node by node and edge by
+/// edge into an `OverlayGraph`.
+fn reference_snapshot(engine: &Engine<ReChordProtocol>) -> OverlayGraph {
+    let mut g = OverlayGraph::new();
+    for (id, st) in engine.iter() {
+        for (&level, vs) in &st.levels {
+            let from = NodeRef { owner: id, level };
+            g.add_node(from);
+            for kind in EdgeKind::ALL {
+                for &to in vs.of(kind) {
+                    g.add_edge(Edge { from, to, kind });
+                }
+            }
+        }
+    }
+    g
+}
+
+/// The projection of a graph: an adjacency over every node's owner, with an
+/// edge `(u, v)` for each unmarked or ring edge from a node of `u` to the
+/// real node of another peer `v`.
+fn reference_projection(g: &OverlayGraph) -> BTreeMap<Ident, BTreeSet<Ident>> {
+    let mut adj: BTreeMap<Ident, BTreeSet<Ident>> =
+        g.nodes().map(|n| (n.owner, BTreeSet::new())).collect();
+    for e in g.edges() {
+        if e.kind != EdgeKind::Connection && e.to.is_real() && e.from.owner != e.to.owner {
+            adj.entry(e.from.owner).or_default().insert(e.to.owner);
+        }
+    }
+    adj
+}
+
+/// The routing table of a graph: every node's owner is a peer, and knows
+/// its own nodes and the targets of its unmarked and ring edges.
+fn reference_table(g: &OverlayGraph) -> BTreeMap<Ident, BTreeSet<NodeRef>> {
+    let mut knowledge: BTreeMap<Ident, BTreeSet<NodeRef>> = BTreeMap::new();
+    for n in g.nodes() {
+        knowledge.entry(n.owner).or_default().insert(*n);
+    }
+    for e in g.edges().filter(|e| e.kind != EdgeKind::Connection) {
+        knowledge.entry(e.from.owner).or_default().insert(e.to);
+    }
+    knowledge
+}
+
+/// Holds every check that reads the overlay of `engine` against the graph
+/// references built from `reference`, its [`reference_snapshot`];
+/// `connected_unmarked` is phase 1's verdict.
+fn check_walk(
+    round: u64,
+    target: &StableTopology,
+    engine: &Engine<ReChordProtocol>,
+    reference: &OverlayGraph,
+    connected_unmarked: bool,
+    audit: &StableStateAudit,
+) {
+    let overlay = Overlay::new(engine.iter());
+    assert!(overlay.nodes().iter().eq(reference.nodes()), "round {round}: nodes");
+    assert!(overlay.edges().eq(reference.edges()), "round {round}: edges");
+    assert_eq!(&snapshot_states(engine.iter()), reference, "round {round}: snapshot");
+
+    let mut unmarked: OverlayGraph =
+        reference.edges().filter(|e| e.kind == EdgeKind::Unmarked).collect();
+    for n in reference.nodes() {
+        unmarked.add_node(*n);
+    }
+    assert_eq!(connected_unmarked, connectivity::weakly_connected(&unmarked), "round {round}");
+
+    let projection = Projection::new(reference.nodes().copied(), reference.edges());
+    let adjacency = reference_projection(reference);
+    assert_eq!(projection.peer_count(), adjacency.len(), "round {round}");
+    for (u, outs) in &adjacency {
+        assert_eq!(projection.neighbors(*u), Some(outs), "round {round}: peer {u}");
+    }
+    assert_eq!(
+        (audit.weakly_connected, audit.projection_strongly_connected, &audit.chord),
+        (
+            connectivity::weakly_connected(reference),
+            projection.strongly_connected(),
+            &chord_coverage(&projection, target)
+        ),
+        "round {round}"
+    );
+    assert_eq!(NetworkMetrics::of(engine).edges, reference.edge_counts(), "round {round}");
+}
+
 /// The verdicts of one scenario, round by round.
 #[derive(Default)]
 struct Record {
     rounds: u64,
     log: String,
+    audits: String,
 }
 
 impl Record {
@@ -54,7 +154,7 @@ impl Record {
         let report = net.engine_mut().run_until_fixpoint_observed(cap, |round, _, engine| {
             let cmp = Comparison::new(&target, engine);
             let almost = cmp.almost_stable();
-            let snapshot = snapshot_states(engine.iter());
+            let snapshot = reference_snapshot(engine);
             assert_eq!(almost, reference.edges_subset_of(&snapshot), "round {round}");
             let missing: Vec<_> = reference.edges().filter(|e| !snapshot.has_edge(e)).collect();
             let extra: Vec<_> = snapshot
@@ -71,19 +171,29 @@ impl Record {
                 self.log.push(if flag { '1' } else { '0' });
             }
             self.log.push(';');
+            let a = StableStateAudit::new(&target, engine);
+            let fields = (a.weakly_connected, a.projection_strongly_connected, &a.chord);
+            write!(self.audits, "{fields:?};").expect("writing to a String cannot fail");
+            check_walk(round, &target, engine, &snapshot, p.connected_unmarked, &a);
         });
+        let table = RoutingTable::from_network(net);
+        let reference = reference_table(&reference_snapshot(net.engine()));
+        assert!(table.peers().iter().eq(reference.keys()), "peers");
+        for (peer, knows) in &reference {
+            assert_eq!(table.knowledge_of(*peer), Some(knows), "peer {peer}");
+        }
         self.rounds += report.rounds;
         report.converged
     }
     /// The scenario's golden: rounds run and the hash of the record plus
     /// the final audit.
-    fn golden(mut self, net: &ReChordNetwork) -> (u64, u64) {
+    fn golden(mut self, net: &ReChordNetwork) -> (u64, u64, u64) {
         write!(self.log, "|{:?}", net.audit()).expect("writing to a String cannot fail");
-        (self.rounds, fnv1a(self.log.as_bytes()))
+        (self.rounds, fnv1a(self.log.as_bytes()), fnv1a(self.audits.as_bytes()))
     }
 }
 
-fn to_fixpoint(mut net: ReChordNetwork) -> (u64, u64) {
+fn to_fixpoint(mut net: ReChordNetwork) -> (u64, u64, u64) {
     let mut record = Record::default();
     assert!(record.run(&mut net, MAX_ROUNDS), "no fixpoint within {MAX_ROUNDS} rounds");
     record.golden(&net)
@@ -92,7 +202,7 @@ fn to_fixpoint(mut net: ReChordNetwork) -> (u64, u64) {
 /// The benchmark's `churn-restabilize` sequence at `peers` peers: a stable
 /// network takes two joins, a graceful leave and a crash, each run to its
 /// fixpoint.
-fn churn(peers: usize, seed: u64) -> (u64, u64) {
+fn churn(peers: usize, seed: u64) -> (u64, u64, u64) {
     const EVENTS: [ChurnEvent; 4] = [
         ChurnEvent::Join { address: 0x10_0000 },
         ChurnEvent::Join { address: 0x10_0001 },
@@ -168,13 +278,17 @@ fn garbage(n: usize, seed: u64) -> Vec<(Ident, PeerState)> {
         .collect()
 }
 
-fn assert_goldens(actual: &[(String, (u64, u64))], expected: &[(&str, u64, u64)]) {
+fn assert_goldens(actual: &[(String, (u64, u64, u64))], expected: &[(&str, u64, u64, u64)]) {
     let listing: String = actual
         .iter()
-        .map(|(name, (rounds, hash))| format!("        (\"{name}\", {rounds}, {hash}),\n"))
+        .map(|(name, (rounds, hash, audits))| {
+            format!("        (\"{name}\", {rounds}, {hash}, {audits}),\n")
+        })
         .collect();
-    let actual: Vec<(&str, u64, u64)> =
-        actual.iter().map(|(name, (rounds, hash))| (name.as_str(), *rounds, *hash)).collect();
+    let actual: Vec<(&str, u64, u64, u64)> = actual
+        .iter()
+        .map(|(name, (rounds, hash, audits))| (name.as_str(), *rounds, *hash, *audits))
+        .collect();
     assert_eq!(actual, expected, "recorded now:\n{listing}");
 }
 
@@ -195,20 +309,20 @@ fn cold_starts_match_their_goldens() {
     assert_goldens(
         &actual,
         &[
-            ("random n=16", 16, 777055478884276088),
-            ("random-line n=16", 18, 3022267657909880186),
-            ("sorted-line n=16", 22, 14721202535885165635),
-            ("star n=16", 15, 8078516804090777432),
-            ("clique n=16", 13, 6976014836856888792),
-            ("binary-tree n=16", 17, 8585161422284884231),
-            ("double-ring-bridge n=16", 18, 25174003706939199),
-            ("finger-ring n=16", 13, 3287133988614650311),
-            ("random n=8 seed=1", 12, 8201241107962539882),
-            ("random n=8 seed=2", 12, 300927445191061614),
-            ("random n=8 seed=229", 10, 15447917216089554434),
-            ("random n=64 seed=1", 31, 10770599700008178562),
-            ("random n=64 seed=2", 44, 17700072613830876208),
-            ("random n=64 seed=229", 47, 9740028236230399793),
+            ("random n=16", 16, 777055478884276088, 18150968397115490035),
+            ("random-line n=16", 18, 3022267657909880186, 1840077296412842068),
+            ("sorted-line n=16", 22, 14721202535885165635, 12866105411110474669),
+            ("star n=16", 15, 8078516804090777432, 9679607275427458149),
+            ("clique n=16", 13, 6976014836856888792, 9120692308606068237),
+            ("binary-tree n=16", 17, 8585161422284884231, 12978180807654436762),
+            ("double-ring-bridge n=16", 18, 25174003706939199, 8034886203707262364),
+            ("finger-ring n=16", 13, 3287133988614650311, 11659847441014488519),
+            ("random n=8 seed=1", 12, 8201241107962539882, 9628859680875470085),
+            ("random n=8 seed=2", 12, 300927445191061614, 937770311393468851),
+            ("random n=8 seed=229", 10, 15447917216089554434, 9065260707714794774),
+            ("random n=64 seed=1", 31, 10770599700008178562, 14824939581086809709),
+            ("random n=64 seed=2", 44, 17700072613830876208, 13403014112259271840),
+            ("random n=64 seed=229", 47, 9740028236230399793, 4164011553897998207),
         ],
     );
 }
@@ -226,11 +340,11 @@ fn ablated_runs_match_their_goldens() {
     assert_goldens(
         &actual,
         &[
-            ("without rule 2, converged=true", 20, 6996403317800369882),
-            ("without rule 3, converged=true", 38, 18346565750423719477),
-            ("without rule 4, converged=true", 15, 675833856214314530),
-            ("without rule 5, converged=true", 22, 5914312377164607425),
-            ("without rule 6, converged=true", 25, 7803712232834975459),
+            ("without rule 2, converged=true", 20, 6996403317800369882, 11558596029429498104),
+            ("without rule 3, converged=true", 38, 18346565750423719477, 3975073841345861105),
+            ("without rule 4, converged=true", 15, 675833856214314530, 594166136797844734),
+            ("without rule 5, converged=true", 22, 5914312377164607425, 11061241302020291256),
+            ("without rule 6, converged=true", 25, 7803712232834975459, 3336535577235979938),
         ],
     );
 }
@@ -251,9 +365,9 @@ fn churn_and_garbage_match_their_goldens() {
     assert_goldens(
         &actual,
         &[
-            ("churn n=40 seed=229", 96, 9428251845466817272),
-            ("wrong sides n=6", 9, 9629606120451102065),
-            ("garbage n=10", 9, 12265079168720961543),
+            ("churn n=40 seed=229", 96, 9428251845466817272, 7047998105154869104),
+            ("wrong sides n=6", 9, 9629606120451102065, 3922463119317655324),
+            ("garbage n=10", 9, 12265079168720961543, 526573675674325696),
         ],
     );
 }
