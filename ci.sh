@@ -19,6 +19,14 @@ run() {
 #    rustfmt.toml; `cargo fmt` fixes violations).
 run cargo fmt --check
 
+# 0a. One overlay representation: `core::network::Overlay` reads the
+#     overlay's nodes and edges off peer states, and nothing in a library
+#     or binary source may bring back a second, collected graph of it.
+if grep -rnE 'OverlayGraph|snapshot_states' crates/*/src src; then
+  echo 'ci.sh: a source under crates/*/src or src/ names OverlayGraph or snapshot_states; read core::network::Overlay instead' >&2
+  exit 1
+fi
+
 # 1. Release build of every workspace member (libs, bins).
 run cargo build --release --offline
 
@@ -36,9 +44,9 @@ run cargo test -q --offline
 run cargo check --workspace --all-targets --offline
 
 # 3a. Every example runs in release mode and passes its own asserts:
-#     dht_lookup and visualize exercise the projection, routing-table and
-#     snapshot APIs (visualize writes its .dot files under the git-ignored
-#     results/).
+#     dht_lookup and visualize exercise the overlay walk, the projection,
+#     the routing table and the DOT rendering (visualize writes its .dot
+#     files under the git-ignored results/).
 for ex in churn_recovery dht_lookup partition_heal quickstart traffic_storm visualize; do
   run cargo run --release --offline -q --example "$ex"
 done

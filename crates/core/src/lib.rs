@@ -46,8 +46,9 @@
 //! * [`protocol`] — the [`ReChordProtocol`] glue implementing
 //!   `rechord_sim::SyncProtocol`;
 //! * [`network`] — [`ReChordNetwork`], the user-facing handle: build from an
-//!   initial topology, run to stability, join/leave/crash peers, snapshot;
-//!   [`network::Overlay`], the overlay read off peer states for the checks;
+//!   initial topology, run to stability, join/leave/crash peers;
+//!   [`network::Overlay`], the overlay read off peer states for the checks
+//!   and for rendering;
 //! * [`oracle`] — the *target* stable topology, one value computed once
 //!   from the identifier set (what the protocol must converge to), plus the
 //!   Chord edge set for Fact 2.1;

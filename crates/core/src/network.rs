@@ -5,7 +5,7 @@ use crate::oracle::StableTopology;
 use crate::protocol::ReChordProtocol;
 use crate::stability::StableStateAudit;
 use crate::state::{PeerState, VirtualState};
-use rechord_graph::{connectivity, Edge, EdgeKind, NodeRef, OverlayGraph};
+use rechord_graph::{connectivity, Edge, EdgeKind, NodeRef};
 use rechord_id::Ident;
 use rechord_sim::{Engine, FixpointReport, RoundOutcome};
 use rechord_topology::InitialTopology;
@@ -14,9 +14,9 @@ use std::collections::BTreeMap;
 /// A Re-Chord overlay network under simulation.
 ///
 /// Wraps the synchronous engine with Re-Chord-specific operations: building
-/// from an initial topology, driving to stability, snapshots, metrics and
-/// the audit, and (via [`crate::churn`]) joins and leaves. A driver that
-/// watches a run round by round observes the engine's one fixpoint loop,
+/// from an initial topology, driving to stability, metrics and the audit,
+/// and (via [`crate::churn`]) joins and leaves. A driver that watches a run
+/// round by round observes the engine's one fixpoint loop,
 /// [`Engine::run_until_fixpoint_observed`], through
 /// [`ReChordNetwork::engine_mut`].
 ///
@@ -130,13 +130,6 @@ impl ReChordNetwork {
         self.engine.run_until_fixpoint(max_rounds)
     }
 
-    /// Collects the current [`Overlay`] into an [`OverlayGraph`], for
-    /// rendering and for comparing two runs; the checks read the overlay
-    /// itself.
-    pub fn snapshot(&self) -> OverlayGraph {
-        snapshot_states(self.engine.iter())
-    }
-
     /// Measures the current state (Figure 5/7 series, Lemma 3.1 gaps).
     pub fn metrics(&self) -> NetworkMetrics {
         NetworkMetrics::of(&self.engine)
@@ -169,8 +162,8 @@ impl ReChordNetwork {
 /// §2.2), read off their neighbourhoods: its nodes are every node a peer
 /// simulates and every node an edge names, its edges the neighbourhoods'
 /// entries without self-references. This is the one definition of the
-/// overlay: the phases, the audit, the projection and the metrics read it,
-/// and [`snapshot_states`] collects it into an [`OverlayGraph`].
+/// overlay: the phases, the audit, the projection, the metrics and the
+/// [`dot`](rechord_graph::dot) rendering read it.
 pub struct Overlay<'a> {
     /// The simulated nodes with their states, by peer, then level.
     simulated: Vec<(NodeRef, &'a VirtualState)>,
@@ -223,8 +216,7 @@ impl<'a> Overlay<'a> {
         nodes
     }
 
-    /// Every edge, in [`OverlayGraph::edges`] order: by source node, then
-    /// class, then target.
+    /// Every edge, by source node (ascending), then class, then target.
     pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
         let mut sources = self.simulated.clone();
         sources.sort_unstable_by_key(|&(from, _)| from);
@@ -245,21 +237,6 @@ fn edges_of(from: NodeRef, vs: &VirtualState) -> impl Iterator<Item = Edge> + '_
     EdgeKind::ALL.into_iter().flat_map(move |kind| {
         vs.of(kind).iter().filter(move |&&to| to != from).map(move |&to| Edge { from, to, kind })
     })
-}
-
-/// Collects the [`Overlay`] of `states` into an [`OverlayGraph`] — the body
-/// of [`ReChordNetwork::snapshot`], exposed so drivers that hold states
-/// outside an engine (e.g. the transport layer collecting them from real
-/// processes) produce byte-identical snapshots.
-pub fn snapshot_states<'a>(
-    states: impl IntoIterator<Item = (Ident, &'a PeerState)>,
-) -> OverlayGraph {
-    let overlay = Overlay::new(states);
-    let mut g: OverlayGraph = overlay.edges().collect();
-    for n in overlay.nodes() {
-        g.add_node(n);
-    }
-    g
 }
 
 #[cfg(test)]
@@ -296,12 +273,22 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_roundtrips_state() {
+    fn overlay_reads_the_topology_back() {
         let topo = TopologyKind::Star.generate(5, 2);
         let net = ReChordNetwork::from_topology(&topo, 1);
-        let g = net.snapshot();
-        assert_eq!(g.real_count(), 5);
-        assert_eq!(g.edge_counts().total(), topo.edges.len());
+        let overlay = Overlay::new(net.engine().iter());
+        let mut ids = topo.ids.clone();
+        ids.sort_unstable();
+        assert!(overlay.nodes().into_iter().eq(ids.into_iter().map(NodeRef::real)));
+        let edges: Vec<Edge> = overlay.edges().collect();
+        let mut expected: Vec<Edge> = topo
+            .edges
+            .iter()
+            .map(|&(a, b)| Edge::unmarked(NodeRef::real(topo.ids[a]), NodeRef::real(topo.ids[b])))
+            .collect();
+        expected.sort_unstable_by_key(|e| (e.from, e.kind, e.to));
+        expected.dedup();
+        assert_eq!(edges, expected, "by source, then class, then target");
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! The correctness proof splits self-stabilization into five phases, each
 //! with its own completion predicate. They are *proof* phases — the real
-//! execution interleaves them — but each predicate is monotone once the
-//! previous ones hold, so observing the first round where each becomes true
-//! gives an empirical phase timeline (the `phases` experiment binary):
+//! execution interleaves them — so observing the first round where each
+//! becomes true gives an empirical phase timeline (the `phases` experiment
+//! binary):
 //!
 //! 1. **Connection** (Lemma 3.2): all nodes weakly connected by unmarked
 //!    edges alone.
@@ -15,6 +15,12 @@
 //!    match the oracle.
 //! 5. **Finish** (Lemma 3.11): no unnecessary (extra unmarked) edges
 //!    remain.
+//!
+//! Predicates 1–4 are observed to stay true once they hold. Predicate 5 is
+//! not monotone: a rule can create an extra unmarked edge after none was
+//! left (3 of the 48 runs at n = 16 in this module's tests re-open it
+//! once), so its first round marks when cleanup first completed, not when
+//! it stayed complete.
 //!
 //! Phases 2–5 are read off one [`Comparison`] of the peer states with the
 //! [`StableTopology`]: no pred/succ edge missing, the ring pair present, no
@@ -105,24 +111,37 @@ mod tests {
 
     #[test]
     fn timeline_is_monotone_and_complete_on_convergence() {
-        let topo = TopologyKind::Random.generate(12, 9);
-        let mut net = ReChordNetwork::from_topology(&topo, 1);
-        let target = StableTopology::new(&topo.ids);
-        let mut first_true = [None; 5];
-        let report = net.engine_mut().run_until_fixpoint_observed(50_000, |round, _, engine| {
-            for (first, holds) in
-                first_true.iter_mut().zip(PhaseStatus::new(&target, engine).flags())
-            {
-                if holds {
-                    first.get_or_insert(round);
-                }
+        // Every run of the grid converges with all five phases holding.
+        // Phases 1–4 never turn false once they held; phase 5 re-opens
+        // (turns false again after holding) in exactly these runs, once each.
+        let mut reopened = Vec::new();
+        for kind in TopologyKind::ALL {
+            for seed in 0..6 {
+                let topo = kind.generate(16, seed);
+                let mut net = ReChordNetwork::from_topology(&topo, 1);
+                let target = StableTopology::new(&topo.ids);
+                let mut last = [false; 5];
+                let report =
+                    net.engine_mut().run_until_fixpoint_observed(50_000, |round, _, engine| {
+                        let flags = PhaseStatus::new(&target, engine).flags();
+                        for (k, (&was, &holds)) in last.iter().zip(&flags).enumerate() {
+                            if was && !holds {
+                                reopened.push((kind.name(), seed, k + 1, round));
+                            }
+                        }
+                        last = flags;
+                    });
+                assert!(report.converged, "{} seed {seed} must converge", kind.name());
+                assert_eq!(last, [true; 5], "{} seed {seed}: phases at the fixpoint", kind.name());
             }
-        });
-        assert!(report.converged, "must converge");
-        for (k, ft) in first_true.iter().enumerate() {
-            let r = ft.unwrap_or_else(|| panic!("phase {} never held", k + 1));
-            assert!(r <= report.rounds, "phase {} after stabilization", k + 1);
         }
+        let phases: Vec<_> =
+            reopened.iter().map(|&(name, seed, phase, _)| (name, seed, phase)).collect();
+        assert_eq!(
+            phases,
+            [("random-line", 3, 5), ("star", 3, 5), ("binary-tree", 1, 5)],
+            "re-openings (kind, seed, phase, round): {reopened:?}"
+        );
     }
 
     #[test]

@@ -21,8 +21,8 @@ pub struct Projection {
 
 impl Projection {
     /// Projects the overlay with nodes `nodes` and edges `edges` (of an
-    /// [`Overlay`](crate::network::Overlay), or of a graph) onto the nodes'
-    /// owners.
+    /// [`Overlay`](crate::network::Overlay), or any list of them) onto the
+    /// nodes' owners.
     pub fn new(
         nodes: impl IntoIterator<Item = NodeRef>,
         edges: impl IntoIterator<Item = Edge>,
@@ -173,10 +173,10 @@ pub fn chord_coverage(projection: &Projection, target: &StableTopology) -> Chord
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rechord_graph::OverlayGraph;
 
-    fn project(g: &OverlayGraph) -> Projection {
-        Projection::new(g.nodes().copied(), g.edges())
+    /// Projects the graph of `edges`, whose nodes are their endpoints.
+    fn project(edges: &[Edge]) -> Projection {
+        Projection::new(edges.iter().flat_map(|e| [e.from, e.to]), edges.iter().copied())
     }
 
     fn r(x: f64) -> NodeRef {
@@ -189,56 +189,45 @@ mod tests {
 
     #[test]
     fn virtual_source_projects_to_owner() {
-        let g: OverlayGraph = [Edge::unmarked(v(0.1, 2), r(0.7))].into_iter().collect();
-        let p = project(&g);
+        let p = project(&[Edge::unmarked(v(0.1, 2), r(0.7))]);
         assert!(p.has_edge(Ident::from_f64(0.1), Ident::from_f64(0.7)));
         assert_eq!(p.edge_count(), 1);
     }
 
     #[test]
     fn virtual_targets_and_connection_edges_excluded() {
-        let g: OverlayGraph = [Edge::unmarked(r(0.1), v(0.7, 1)), Edge::connection(r(0.1), r(0.7))]
-            .into_iter()
-            .collect();
-        let p = project(&g);
+        let p = project(&[Edge::unmarked(r(0.1), v(0.7, 1)), Edge::connection(r(0.1), r(0.7))]);
         assert_eq!(p.edge_count(), 0, "neither edge projects");
     }
 
     #[test]
     fn ring_edges_project() {
-        let g: OverlayGraph = [Edge::ring(v(0.9, 1), r(0.05))].into_iter().collect();
-        let p = project(&g);
+        let p = project(&[Edge::ring(v(0.9, 1), r(0.05))]);
         assert!(p.has_edge(Ident::from_f64(0.9), Ident::from_f64(0.05)));
     }
 
     #[test]
     fn own_peer_edges_collapse() {
-        let g: OverlayGraph = [Edge::unmarked(v(0.2, 1), r(0.2))].into_iter().collect();
-        let p = project(&g);
+        let p = project(&[Edge::unmarked(v(0.2, 1), r(0.2))]);
         assert_eq!(p.edge_count(), 0, "(u,u) is not an overlay edge");
     }
 
     #[test]
     fn strong_connectivity_detection() {
-        let cycle: OverlayGraph = [
+        let cycle = [
             Edge::unmarked(r(0.1), r(0.5)),
             Edge::unmarked(r(0.5), r(0.9)),
             Edge::unmarked(r(0.9), r(0.1)),
-        ]
-        .into_iter()
-        .collect();
+        ];
         assert!(project(&cycle).strongly_connected());
-        let path: OverlayGraph =
-            [Edge::unmarked(r(0.1), r(0.5)), Edge::unmarked(r(0.5), r(0.9))].into_iter().collect();
-        assert!(!project(&path).strongly_connected());
+        assert!(!project(&cycle[..2]).strongly_connected());
     }
 
     #[test]
     fn coverage_classifies_missing_edges() {
         let ids = vec![Ident::from_f64(0.1), Ident::from_f64(0.6)];
         // Projection with only the forward (0.1 → 0.6) edge.
-        let g: OverlayGraph = [Edge::unmarked(r(0.1), r(0.6))].into_iter().collect();
-        let p = project(&g);
+        let p = project(&[Edge::unmarked(r(0.1), r(0.6))]);
         let cov = chord_coverage(&p, &StableTopology::new(&ids));
         assert!(cov.present >= 1);
         assert_eq!(cov.present + cov.missing_wrap.len() + cov.missing_linear.len(), cov.total);

@@ -13,8 +13,7 @@
 //! the engine detects as "round changed nothing";
 //! [`StableStateAudit::is_clean`] accepts or rejects the state it reached.
 //! The audit's connectivity, projection and Fact 2.1 fields, like phase 1,
-//! read the [`Overlay`] of the same states; no check builds an
-//! [`OverlayGraph`](rechord_graph::OverlayGraph).
+//! read the [`Overlay`] of the same states.
 
 use crate::network::Overlay;
 use crate::oracle::StableTopology;
@@ -82,7 +81,7 @@ impl Comparison {
             for (&level, vs) in &state.levels {
                 let from = NodeRef { owner, level };
                 let want = wanted.and_then(|w| w.get(usize::from(level)));
-                // A self-reference is no edge (a snapshot drops it too).
+                // A self-reference is no edge (the `Overlay` drops it too).
                 let extra = vs
                     .nu
                     .iter()

@@ -50,12 +50,6 @@ impl NodeRef {
     pub fn is_real(&self) -> bool {
         self.level == 0
     }
-
-    /// Is this a virtual node (`V_v`)?
-    #[inline]
-    pub fn is_virtual(&self) -> bool {
-        self.level != 0
-    }
 }
 
 impl PartialOrd for NodeRef {
@@ -98,7 +92,7 @@ mod tests {
         assert_eq!(NodeRef::real(u).pos(), u);
         let v1 = NodeRef::virtual_node(u, 1);
         assert!((v1.pos().to_f64() - 0.8).abs() < 1e-12);
-        assert!(v1.is_virtual() && !v1.is_real());
+        assert!(!v1.is_real());
     }
 
     #[test]

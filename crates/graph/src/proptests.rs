@@ -1,6 +1,6 @@
-//! Property tests for the overlay multigraph.
+//! Property tests for the connectivity count and the edge totals.
 
-use crate::{connectivity, Edge, EdgeKind, NodeRef, OverlayGraph};
+use crate::{connectivity, Edge, EdgeCounts, EdgeKind, NodeRef};
 use proptest::prelude::*;
 use rechord_id::Ident;
 
@@ -16,98 +16,64 @@ fn edges() -> impl Strategy<Value = Edge> {
     (node_refs(), node_refs(), kinds()).prop_map(|(from, to, kind)| Edge { from, to, kind })
 }
 
-proptest! {
-    /// Edge insertion is idempotent and `has_edge` agrees with `add_edge`.
-    #[test]
-    fn insertion_idempotent(es in prop::collection::vec(edges(), 0..60)) {
-        let mut g = OverlayGraph::new();
-        for e in &es {
-            g.add_edge(*e);
+/// A graph on the nodes `0..n`: its node count and its edges.
+fn numbered_graph() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
+    (1usize..24).prop_flat_map(|n| (Just(n), prop::collection::vec((0..n, 0..n), 0..40)))
+}
+
+/// Components by flood fill over an adjacency matrix, direction ignored.
+fn naive_components(n: usize, edges: &[(usize, usize)]) -> usize {
+    let mut adjacent = vec![vec![false; n]; n];
+    for &(a, b) in edges {
+        adjacent[a][b] = true;
+        adjacent[b][a] = true;
+    }
+    let mut seen = vec![false; n];
+    let mut count = 0;
+    for root in 0..n {
+        if seen[root] {
+            continue;
         }
-        let count_once = g.edge_counts();
-        for e in &es {
-            prop_assert!(!g.add_edge(*e) || e.from == e.to);
-        }
-        prop_assert_eq!(g.edge_counts(), count_once);
-        for e in &es {
-            if e.from != e.to {
-                prop_assert!(g.has_edge(e));
+        count += 1;
+        seen[root] = true;
+        let mut stack = vec![root];
+        while let Some(x) = stack.pop() {
+            for y in 0..n {
+                if adjacent[x][y] && !seen[y] {
+                    seen[y] = true;
+                    stack.push(y);
+                }
             }
         }
     }
+    count
+}
 
-    /// FromIterator equals incremental construction.
+proptest! {
+    /// The union-find count equals a flood fill's.
     #[test]
-    fn from_iter_equals_incremental(es in prop::collection::vec(edges(), 0..60)) {
-        let g1: OverlayGraph = es.iter().copied().collect();
-        let mut g2 = OverlayGraph::new();
-        for e in &es {
-            g2.add_edge(*e);
-        }
-        prop_assert_eq!(g1, g2);
+    fn components_match_naive_search((n, es) in numbered_graph()) {
+        prop_assert_eq!(connectivity::components(n, es.iter().copied()), naive_components(n, &es));
     }
 
-    /// `edges()` round-trips: rebuilding from the iterator reproduces the graph
-    /// up to isolated nodes.
+    /// Adding an edge never raises the number of weak components, and
+    /// lowers it by at most one.
     #[test]
-    fn edge_iterator_roundtrip(es in prop::collection::vec(edges(), 0..60)) {
-        let g: OverlayGraph = es.iter().copied().collect();
-        let mut rebuilt: OverlayGraph = g.edges().collect();
-        for n in g.nodes() {
-            rebuilt.add_node(*n);
-        }
-        prop_assert_eq!(g, rebuilt);
+    fn edges_only_merge_components((n, es) in numbered_graph(), extra in (0usize..24, 0usize..24)) {
+        let extra = (extra.0 % n, extra.1 % n);
+        let before = connectivity::components(n, es.iter().copied());
+        let after = connectivity::components(n, es.iter().copied().chain([extra]));
+        prop_assert!(after <= before && after + 1 >= before);
     }
 
-    /// Removing an edge then re-adding it restores the graph.
-    #[test]
-    fn remove_restore(es in prop::collection::vec(edges(), 1..40), idx in any::<prop::sample::Index>()) {
-        let g: OverlayGraph = es.iter().copied().collect();
-        let all: Vec<Edge> = g.edges().collect();
-        prop_assume!(!all.is_empty());
-        let victim = all[idx.index(all.len())];
-        let mut h = g.clone();
-        prop_assert!(h.remove_edge(&victim));
-        prop_assert!(!h.has_edge(&victim));
-        h.add_edge(victim);
-        prop_assert_eq!(g, h);
-    }
-
-    /// Adding edges never increases the number of weak components.
-    #[test]
-    fn edges_only_merge_components(es in prop::collection::vec(edges(), 0..60), extra in edges()) {
-        let g: OverlayGraph = es.iter().copied().collect();
-        let before = connectivity::component_count(&g);
-        let mut h = g.clone();
-        let grew = h.add_edge(extra);
-        let after = connectivity::component_count(&h);
-        // New nodes may appear (components +), but an edge between existing
-        // nodes can only merge. Check the invariant that holds universally:
-        if !grew {
-            prop_assert_eq!(after, before);
-        } else {
-            prop_assert!(after <= before + 2);
-            // and peers connected by the new edge are in one component
-            prop_assert!(connectivity::peer_component_count(&h)
-                <= connectivity::peer_component_count(&g) + 2);
-        }
-    }
-
-    /// Peer components never exceed node components.
-    #[test]
-    fn peer_projection_coarsens(es in prop::collection::vec(edges(), 0..60)) {
-        let g: OverlayGraph = es.iter().copied().collect();
-        prop_assert!(connectivity::peer_component_count(&g) <= connectivity::component_count(&g));
-    }
-
-    /// Edge counts agree with the edge iterator.
+    /// Edge counts agree with the edge iterator they are collected from.
     #[test]
     fn counts_agree_with_iterator(es in prop::collection::vec(edges(), 0..60)) {
-        let g: OverlayGraph = es.iter().copied().collect();
-        let c = g.edge_counts();
-        prop_assert_eq!(c.total(), g.edges().count());
-        prop_assert_eq!(c.unmarked, g.edges().filter(|e| e.kind == EdgeKind::Unmarked).count());
-        prop_assert_eq!(c.ring, g.edges().filter(|e| e.kind == EdgeKind::Ring).count());
-        prop_assert_eq!(c.connection, g.edges().filter(|e| e.kind == EdgeKind::Connection).count());
+        let c: EdgeCounts = es.iter().copied().collect();
+        prop_assert_eq!(c.total(), es.len());
+        prop_assert_eq!(c.unmarked, es.iter().filter(|e| e.kind == EdgeKind::Unmarked).count());
+        prop_assert_eq!(c.ring, es.iter().filter(|e| e.kind == EdgeKind::Ring).count());
+        prop_assert_eq!(c.connection, es.iter().filter(|e| e.kind == EdgeKind::Connection).count());
+        prop_assert_eq!(c.normal(), c.unmarked + c.ring);
     }
 }

@@ -9,13 +9,16 @@
 //! the remaining payload before anything is allocated. Decode of any byte
 //! string either yields a message that re-encodes to the same bytes or a
 //! typed [`WireError`] — never a panic (pinned by the property tests in
-//! `src/proptests.rs`).
+//! `src/proptests.rs`). So a level above `MAX_LEVEL` (which names no
+//! node), a reference set out of strictly ascending order and a state's
+//! level keys out of ascending order are errors: a set or a map built from
+//! them would re-sort, and re-encode differently.
 
 use crate::wire::{put_string, put_u32, put_u64, Reader, WireError};
 use rechord_core::msg::Msg;
 use rechord_core::state::{PeerState, RefSet, VirtualState};
 use rechord_graph::{EdgeKind, NodeRef};
-use rechord_id::Ident;
+use rechord_id::{Ident, MAX_LEVEL};
 use std::collections::BTreeMap;
 
 /// Encoded size of a [`NodeRef`]: owner (8) + level (1).
@@ -224,9 +227,16 @@ fn put_node_ref(out: &mut Vec<u8>, r: NodeRef) {
     out.push(r.level);
 }
 
+fn read_level(r: &mut Reader<'_>) -> Result<u8, WireError> {
+    match r.u8()? {
+        level @ 0..=MAX_LEVEL => Ok(level),
+        level => Err(WireError::BadLevel(level)),
+    }
+}
+
 fn read_node_ref(r: &mut Reader<'_>) -> Result<NodeRef, WireError> {
     let owner = Ident::from_raw(r.u64()?);
-    let level = r.u8()?;
+    let level = read_level(r)?;
     Ok(NodeRef { owner, level })
 }
 
@@ -257,7 +267,11 @@ fn put_ref_set(out: &mut Vec<u8>, set: &RefSet) {
 
 fn read_ref_set(r: &mut Reader<'_>) -> Result<RefSet, WireError> {
     let n = r.len(NODEREF_LEN)?;
-    (0..n).map(|_| read_node_ref(r)).collect()
+    let refs = (0..n).map(|_| read_node_ref(r)).collect::<Result<Vec<_>, _>>()?;
+    if refs.windows(2).any(|w| w[0] >= w[1]) {
+        return Err(WireError::UnorderedSet);
+    }
+    Ok(refs.into_iter().collect())
 }
 
 fn put_edge_kind(out: &mut Vec<u8>, kind: EdgeKind) {
@@ -310,7 +324,10 @@ fn read_peer_state(r: &mut Reader<'_>) -> Result<PeerState, WireError> {
     let n = r.len(1 + 3 * 4 + 2)?;
     let mut levels = BTreeMap::new();
     for _ in 0..n {
-        let lvl = r.u8()?;
+        let lvl = read_level(r)?;
+        if levels.last_key_value().is_some_and(|(&last, _)| last >= lvl) {
+            return Err(WireError::UnorderedLevels(lvl));
+        }
         let nu = read_ref_set(r)?;
         let nr = read_ref_set(r)?;
         let nc = read_ref_set(r)?;
@@ -662,5 +679,34 @@ mod tests {
         // The kind byte sits after tag(1) + round(8) + count(4) + at(9).
         bytes[1 + 8 + 4 + 9] = 7;
         assert_eq!(NetMsg::decode(&bytes), Err(WireError::BadKind(7)));
+    }
+
+    #[test]
+    fn non_canonical_states_rejected() {
+        let (a, b) = (NodeRef::real(Ident::from_raw(1)), NodeRef::real(Ident::from_raw(2)));
+        let mut state = PeerState::new();
+        state.levels.insert(3, VirtualState::default());
+        state.level_mut(0).unwrap().nu = [a, b].into_iter().collect();
+        let m = NetMsg::StateSync { round: 1, state: Box::new(state) };
+        let bytes = m.encode();
+        // Level 0's `nu` starts after tag(1) + round(8) + count(4) + key(1)
+        // + its own count(4); each reference is owner(8) + level(1).
+        let nu = 1 + 8 + 4 + 1 + 4;
+
+        let mut level = bytes.clone();
+        level[nu + 8] = 200;
+        assert_eq!(NetMsg::decode(&level), Err(WireError::BadLevel(200)));
+
+        let mut swapped = bytes.clone();
+        let (first, second) = swapped[nu..nu + 2 * NODEREF_LEN].split_at_mut(NODEREF_LEN);
+        first[..8].swap_with_slice(&mut second[..8]);
+        assert_eq!(NetMsg::decode(&swapped), Err(WireError::UnorderedSet));
+
+        let key3 = nu + 2 * NODEREF_LEN + 4 + 4 + 1 + 1;
+        let mut keys = bytes.clone();
+        keys[key3] = 0;
+        assert_eq!(NetMsg::decode(&keys), Err(WireError::UnorderedLevels(0)));
+        keys[key3] = MAX_LEVEL + 1;
+        assert_eq!(NetMsg::decode(&keys), Err(WireError::BadLevel(MAX_LEVEL + 1)));
     }
 }

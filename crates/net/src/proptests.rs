@@ -1,7 +1,8 @@
 //! Wire-codec property tests: every message variant round-trips through
 //! encode/decode (bare body and full frame), and malformed input — any
-//! truncation, bad version bytes, oversized length prefixes, arbitrary
-//! byte soup — produces a typed [`WireError`], never a panic.
+//! truncation, bad version bytes, oversized length prefixes, out-of-range
+//! levels, reordered sets, arbitrary byte soup — produces a typed
+//! [`WireError`], never a panic; what does decode re-encodes to its bytes.
 
 use crate::message::{ForwardedRpc, NetMsg, RpcOp};
 use crate::wire::{self, split_frame, WireError, HEADER_LEN, MAX_FRAME_LEN};
@@ -111,6 +112,69 @@ fn net_msg() -> impl Strategy<Value = NetMsg> {
     ]
 }
 
+/// Bytes of one encoded `NodeRef`: owner, then level.
+const NODEREF_LEN: usize = 9;
+
+/// A `StateSync` or a nonempty `RoundMsgs`: the messages that carry node
+/// references.
+fn ref_msg() -> impl Strategy<Value = NetMsg> {
+    prop_oneof![
+        (any::<u64>(), peer_state())
+            .prop_map(|(round, st)| NetMsg::StateSync { round, state: Box::new(st) }),
+        (any::<u64>(), prop::collection::vec(proto_msg(), 1..6))
+            .prop_map(|(round, msgs)| NetMsg::RoundMsgs { round, msgs }),
+    ]
+}
+
+/// Where the body of a [`ref_msg`] holds its node references.
+#[derive(Default)]
+struct Layout {
+    /// Each reference's offset, with the number of the set it belongs to
+    /// (`None` for a reference outside a set).
+    refs: Vec<(usize, Option<usize>)>,
+    /// The offsets of a state's level keys.
+    level_keys: Vec<usize>,
+}
+
+fn layout(msg: &NetMsg) -> Layout {
+    let mut layout = Layout::default();
+    let mut at = 1 + 8 + 4; // tag, round, count
+    match msg {
+        NetMsg::StateSync { state, .. } => {
+            let mut set = 0;
+            for vs in state.levels.values() {
+                layout.level_keys.push(at);
+                at += 1;
+                for refs in [&vs.nu, &vs.nr, &vs.nc] {
+                    at += 4;
+                    for _ in refs {
+                        layout.refs.push((at, Some(set)));
+                        at += NODEREF_LEN;
+                    }
+                    set += 1;
+                }
+                for r in [vs.rl, vs.rr] {
+                    at += 1;
+                    if r.is_some() {
+                        layout.refs.push((at, None));
+                        at += NODEREF_LEN;
+                    }
+                }
+            }
+        }
+        NetMsg::RoundMsgs { msgs, .. } => {
+            for _ in msgs {
+                layout.refs.push((at, None));
+                layout.refs.push((at + NODEREF_LEN + 1, None));
+                at += 2 * NODEREF_LEN + 1;
+            }
+        }
+        other => panic!("{other:?} carries no node references"),
+    }
+    assert_eq!(at, msg.encode().len(), "layout covers the body");
+    layout
+}
+
 proptest! {
     #[test]
     fn every_message_roundtrips(msg in net_msg()) {
@@ -184,6 +248,64 @@ proptest! {
         // payload before any reservation).
         let _ = NetMsg::decode(&bytes);
         let _ = split_frame(&bytes);
+    }
+
+    #[test]
+    fn out_of_range_levels_are_typed_errors(
+        msg in ref_msg(),
+        pick in any::<prop::sample::Index>(),
+        level in 65u8..=255,
+    ) {
+        // A reference's level byte or a level key past MAX_LEVEL names no
+        // node: it must not reach `NodeRef::pos`.
+        let layout = layout(&msg);
+        let mut spots: Vec<usize> = layout.refs.iter().map(|&(at, _)| at + 8).collect();
+        spots.extend(&layout.level_keys);
+        let mut body = msg.encode();
+        body[spots[pick.index(spots.len())]] = level;
+        prop_assert_eq!(NetMsg::decode(&body), Err(WireError::BadLevel(level)));
+    }
+
+    #[test]
+    fn swapped_refs_are_typed_errors_or_roundtrip(
+        msg in ref_msg(),
+        first in any::<prop::sample::Index>(),
+        step in any::<prop::sample::Index>(),
+    ) {
+        // Two references trade places. Within one set that breaks the
+        // ascending order a set encodes in, which must be an error, not a
+        // silent re-sort; anywhere else the result may be a valid message,
+        // which must re-encode to exactly the swapped bytes.
+        let refs = layout(&msg).refs;
+        prop_assume!(refs.len() >= 2);
+        let i = first.index(refs.len());
+        let j = (i + 1 + step.index(refs.len() - 1)) % refs.len();
+        let ((x, x_set), (y, y_set)) = (refs[i.min(j)], refs[i.max(j)]);
+        let mut body = msg.encode();
+        let (head, tail) = body.split_at_mut(y);
+        head[x..x + NODEREF_LEN].swap_with_slice(&mut tail[..NODEREF_LEN]);
+        match NetMsg::decode(&body) {
+            Ok(decoded) => {
+                prop_assert!(x_set.is_none() || x_set != y_set, "a reordered set decoded");
+                prop_assert_eq!(decoded.encode(), body);
+            }
+            Err(e) => prop_assert_eq!(e, WireError::UnorderedSet),
+        }
+    }
+
+    #[test]
+    fn patched_bodies_error_or_reencode_exactly(
+        msg in net_msg(),
+        pick in any::<prop::sample::Index>(),
+        byte in any::<u8>(),
+    ) {
+        // The codec's promise over one changed byte anywhere in any body.
+        let mut body = msg.encode();
+        let at = pick.index(body.len());
+        body[at] = byte;
+        if let Ok(decoded) = NetMsg::decode(&body) {
+            prop_assert_eq!(decoded.encode(), body);
+        }
     }
 
     #[test]

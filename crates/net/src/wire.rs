@@ -16,6 +16,7 @@
 //! allocation. Every decode error is a typed [`WireError`] — malformed
 //! input must never panic (pinned by the crate's property tests).
 
+use rechord_id::MAX_LEVEL;
 use std::fmt;
 
 /// First magic byte (`b'R'`).
@@ -49,6 +50,14 @@ pub enum WireError {
     BadTag(u8),
     /// Unknown edge-class byte inside a message body.
     BadKind(u8),
+    /// A node level (of a reference, or a state's level key) above
+    /// [`MAX_LEVEL`].
+    BadLevel(u8),
+    /// A set of node references not in strictly ascending order, the only
+    /// order a set encodes to.
+    UnorderedSet,
+    /// A state's level key not above the key before it.
+    UnorderedLevels(u8),
     /// A declared collection length exceeds what the payload could hold.
     BadLength(u32),
     /// A string field was not valid UTF-8.
@@ -67,6 +76,9 @@ impl fmt::Display for WireError {
             WireError::Oversized(n) => write!(f, "length prefix {n} exceeds {MAX_FRAME_LEN}"),
             WireError::BadTag(t) => write!(f, "unknown message tag {t:#04x}"),
             WireError::BadKind(k) => write!(f, "unknown edge kind {k:#04x}"),
+            WireError::BadLevel(l) => write!(f, "node level {l} exceeds {MAX_LEVEL}"),
+            WireError::UnorderedSet => write!(f, "node-reference set is not strictly ascending"),
+            WireError::UnorderedLevels(l) => write!(f, "level key {l} is not above the one before"),
             WireError::BadLength(n) => write!(f, "declared length {n} exceeds payload"),
             WireError::BadUtf8 => write!(f, "string field is not UTF-8"),
             WireError::Trailing(n) => write!(f, "{n} trailing bytes after message body"),

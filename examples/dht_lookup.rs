@@ -5,7 +5,7 @@
 //! cargo run --release --example dht_lookup
 //! ```
 
-use rechord::core::network::ReChordNetwork;
+use rechord::core::network::{Overlay, ReChordNetwork};
 use rechord::core::projection::Projection;
 use rechord::id::IdSpace;
 use rechord::routing::{KvStore, RoutingTable};
@@ -16,8 +16,8 @@ fn main() {
     let (net, report) = ReChordNetwork::bootstrap_stable(40, 12, 1, 100_000);
     println!("overlay of 40 peers stable after {} rounds", report.rounds_to_stable());
 
-    let snapshot = net.snapshot();
-    let projection = Projection::new(snapshot.nodes().copied(), snapshot.edges());
+    let overlay = Overlay::new(net.engine().iter());
+    let projection = Projection::new(overlay.nodes(), overlay.edges());
     println!(
         "projected overlay: {} peers, {} directed edges, max out-degree {}",
         projection.peer_count(),

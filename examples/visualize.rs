@@ -8,7 +8,7 @@
 //! ```
 
 use rechord::analysis::{AsciiChart, Series};
-use rechord::core::network::ReChordNetwork;
+use rechord::core::network::{Overlay, ReChordNetwork};
 use rechord::core::oracle::StableTopology;
 use rechord::core::phases::PhaseStatus;
 use rechord::core::NetworkMetrics;
@@ -22,11 +22,15 @@ fn main() {
     let target = StableTopology::new(&topo.ids);
 
     std::fs::create_dir_all("results").expect("mkdir results");
-    std::fs::write(
-        "results/initial.dot",
-        to_dot(&net.snapshot(), &DotStyle { name: "initial".into(), ..Default::default() }),
-    )
-    .expect("write initial.dot");
+    let render = |net: &ReChordNetwork, name: &str| {
+        let overlay = Overlay::new(net.engine().iter());
+        to_dot(
+            overlay.nodes(),
+            overlay.edges(),
+            &DotStyle { name: name.into(), ..Default::default() },
+        )
+    };
+    std::fs::write("results/initial.dot", render(&net, "initial")).expect("write initial.dot");
 
     // Per-round observation: edge populations + phase completion.
     let (mut rounds, mut normal, mut conn, mut phases_done) =
@@ -73,10 +77,6 @@ fn main() {
         println!("  phase {} ({name:13}) first holds at round {:?}", k + 1, first_true[k]);
     }
 
-    std::fs::write(
-        "results/final.dot",
-        to_dot(&net.snapshot(), &DotStyle { name: "stable".into(), ..Default::default() }),
-    )
-    .expect("write final.dot");
+    std::fs::write("results/final.dot", render(&net, "stable")).expect("write final.dot");
     println!("\nwrote results/initial.dot and results/final.dot (render with `dot -Tsvg`)");
 }

@@ -9,6 +9,8 @@
 //! on the firing schedule, so "state unchanged after one full round" is not
 //! the right convergence probe mid-schedule. "All desired edges exist" is.)
 
+mod support;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rechord::core::network::ReChordNetwork;
@@ -99,6 +101,5 @@ fn stalled_peer_does_not_break_others() {
     for _ in 0..500 {
         net.engine_mut().round_with_schedule(|id| id != stalled);
     }
-    let snapshot = net.snapshot();
-    assert!(rechord::graph::connectivity::peers_weakly_connected(&snapshot));
+    assert!(support::peers_weakly_connected(&net));
 }

@@ -4,7 +4,6 @@
 use rechord::core::network::{Overlay, ReChordNetwork};
 use rechord::core::oracle::{ChordEdgeKind, StableTopology};
 use rechord::core::projection::{chord_coverage, Projection};
-use rechord::graph::OverlayGraph;
 use rechord::topology::TopologyKind;
 
 fn stable_projection(n: usize, seed: u64) -> (ReChordNetwork, Projection) {
@@ -56,12 +55,9 @@ fn oracle_chord_is_subgraph_of_oracle_rechord_projection() {
     for n in [4usize, 12, 40] {
         let topo = TopologyKind::Random.generate(n, 0xc0de + n as u64);
         let target = StableTopology::new(&topo.ids);
-        let mut desired: OverlayGraph = target.desired_unmarked().collect();
-        if let Some((a, b)) = target.ring_pair() {
-            desired.add_edge(a);
-            desired.add_edge(b);
-        }
-        let p = Projection::new(desired.nodes().copied(), desired.edges());
+        let ring = target.ring_pair().into_iter().flat_map(|(a, b)| [a, b]);
+        let p =
+            Projection::new(target.nodes().iter().copied(), target.desired_unmarked().chain(ring));
         let cov = chord_coverage(&p, &target);
         assert!(
             cov.missing_linear.is_empty(),

@@ -1,10 +1,11 @@
 //! Integration: Theorem 1.1 — self-stabilization from every adversarial
 //! initial-state family, audited against the oracle topology.
 
+mod support;
+
 use rechord::core::network::ReChordNetwork;
 use rechord::core::oracle::StableTopology;
 use rechord::core::stability::Comparison;
-use rechord::graph::connectivity;
 use rechord::topology::TopologyKind;
 
 const MAX_ROUNDS: u64 = 100_000;
@@ -57,10 +58,7 @@ fn connectivity_never_lost_during_stabilization() {
     let mut net = ReChordNetwork::from_topology(&topo, 1);
     for round in 0..MAX_ROUNDS {
         let out = net.round();
-        assert!(
-            connectivity::peers_weakly_connected(&net.snapshot()),
-            "peers disconnected at round {round}"
-        );
+        assert!(support::peers_weakly_connected(&net), "peers disconnected at round {round}");
         if !out.changed {
             return;
         }
@@ -73,10 +71,10 @@ fn stable_state_is_locally_checkable_fixpoint() {
     let topo = TopologyKind::Star.generate(16, 77);
     let mut net = ReChordNetwork::from_topology(&topo, 1);
     assert!(net.run_until_stable(MAX_ROUNDS).converged);
-    let frozen = net.snapshot();
+    let frozen = support::states(&net);
     for _ in 0..10 {
         net.round();
-        assert_eq!(net.snapshot(), frozen, "fixpoint must be absorbing");
+        assert_eq!(support::states(&net), frozen, "fixpoint must be absorbing");
     }
 }
 

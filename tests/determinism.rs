@@ -3,6 +3,8 @@
 //! bit-identical (`tests/data_plane_golden.rs` pins the same traces to
 //! literal constants).
 
+mod support;
+
 use rechord::core::adversary::run_adversarial;
 use rechord::core::network::ReChordNetwork;
 use rechord::core::{Crime, CrimeSet};
@@ -15,7 +17,7 @@ fn repeated_runs_are_bit_identical() {
         let topo = TopologyKind::Clique.generate(12, 7);
         let mut net = ReChordNetwork::from_topology(&topo, 1);
         let report = net.run_until_stable(100_000);
-        (report.rounds, report.total_messages, net.snapshot())
+        (report.rounds, report.total_messages, support::states(&net))
     };
     assert_eq!(run(), run());
 }
@@ -29,7 +31,7 @@ fn per_round_trajectories_match() {
         let oa = a.round();
         let ob = b.round();
         assert_eq!(oa, ob, "round {round} outcome diverged");
-        assert_eq!(a.snapshot(), b.snapshot(), "round {round} state diverged");
+        assert_eq!(support::states(&a), support::states(&b), "round {round} state diverged");
         if !oa.changed {
             break;
         }
@@ -143,7 +145,7 @@ fn adversarial_runs_are_bit_identical() {
     let (o1, n1) = run_adversarial(20, 5, 0.25, crimes, 50_000);
     let (o2, n2) = run_adversarial(20, 5, 0.25, crimes, 50_000);
     assert_eq!((o1.rounds, o1.converged, o1.byzantine), (o2.rounds, o2.converged, o2.byzantine));
-    assert_eq!(n1.snapshot(), n2.snapshot());
+    assert_eq!(support::states(&n1), support::states(&n2));
 }
 
 #[test]

@@ -3,41 +3,44 @@
 //! Every scenario below runs to its fixpoint (or a round cap) and records,
 //! after every round, the almost-stable bit and the five §3.1 phase flags,
 //! then the final audit in its `Debug` form. The record is pinned as a
-//! literal hash, recorded from the build that decided every verdict on an
-//! `OverlayGraph` snapshot (rev `1860cfa`), so a change to any verdict in
-//! any round shows. A second record holds every round's audit fields that
-//! read the overlay's nodes and edges (connectivity, projection, Fact 2.1),
-//! pinned as a hash recorded from the build whose audit built a snapshot
-//! for them (rev `ecb0e94`).
+//! literal hash, recorded from the build that decided every verdict on a
+//! snapshot graph of the overlay (rev `1860cfa`), so a change to any
+//! verdict in any round shows. A second record holds every round's audit
+//! fields that read the overlay's nodes and edges (connectivity,
+//! projection, Fact 2.1), pinned as a hash recorded from the build whose
+//! audit built a snapshot for them (rev `ecb0e94`).
 //!
-//! Every round also holds the state-based checks against graph references
-//! built here, as the library built them before it read peer states: the
-//! snapshot (the walk's nodes and edges, the metrics' edge counts), the
-//! desired edges (the almost-stable verdict), the unmarked subgraph
-//! (phase 1) and the projection (the audit). At the end of every run, the
-//! routing table holds against the table built from the snapshot.
+//! Every round also holds the state-based checks against references built
+//! here on `support::Graph`, as the library built them before it read peer
+//! states: the graph (the walk's nodes and edges, the metrics' edge
+//! counts), the desired edges (the almost-stable verdict), the unmarked
+//! subgraph (phase 1) and the projection (the audit). At the end of every
+//! run, the routing table holds against the table built from the graph.
 //!
 //! Corpus: every `TopologyKind` at n = 16; `Random` at n ∈ {8, 64} with
 //! seeds {1, 2, 229}; rules 2…6 each ablated at n = 24 (fixpoints that are
 //! not the stable topology); the benchmark's join/join/leave/crash sequence
 //! at n = 40; two garbage `from_raw_states` starts.
 
+mod support;
+
 use rechord::core::ablation::RuleMask;
 use rechord::core::adversary::mix;
 use rechord::core::metrics::NetworkMetrics;
-use rechord::core::network::{snapshot_states, Overlay, ReChordNetwork};
+use rechord::core::network::{Overlay, ReChordNetwork};
 use rechord::core::oracle::StableTopology;
 use rechord::core::phases::PhaseStatus;
 use rechord::core::projection::{chord_coverage, Projection};
 use rechord::core::stability::{Comparison, StableStateAudit};
 use rechord::core::{PeerState, ReChordProtocol};
-use rechord::graph::{connectivity, Edge, EdgeKind, NodeRef, OverlayGraph};
+use rechord::graph::{EdgeKind, NodeRef};
 use rechord::id::Ident;
 use rechord::routing::RoutingTable;
 use rechord::sim::Engine;
 use rechord::topology::{ChurnEvent, TopologyKind};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write;
+use support::{fnv1a, Graph};
 
 /// Round cap of a run expected to reach its fixpoint.
 const MAX_ROUNDS: u64 = 50_000;
@@ -45,34 +48,10 @@ const MAX_ROUNDS: u64 = 50_000;
 /// Round cap of an ablated run, which need not reach one.
 const ABLATED_ROUNDS: u64 = 600;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
-}
-
-/// The overlay graph of `engine`'s states, built node by node and edge by
-/// edge into an `OverlayGraph`.
-fn reference_snapshot(engine: &Engine<ReChordProtocol>) -> OverlayGraph {
-    let mut g = OverlayGraph::new();
-    for (id, st) in engine.iter() {
-        for (&level, vs) in &st.levels {
-            let from = NodeRef { owner: id, level };
-            g.add_node(from);
-            for kind in EdgeKind::ALL {
-                for &to in vs.of(kind) {
-                    g.add_edge(Edge { from, to, kind });
-                }
-            }
-        }
-    }
-    g
-}
-
 /// The projection of a graph: an adjacency over every node's owner, with an
 /// edge `(u, v)` for each unmarked or ring edge from a node of `u` to the
 /// real node of another peer `v`.
-fn reference_projection(g: &OverlayGraph) -> BTreeMap<Ident, BTreeSet<Ident>> {
+fn reference_projection(g: &Graph) -> BTreeMap<Ident, BTreeSet<Ident>> {
     let mut adj: BTreeMap<Ident, BTreeSet<Ident>> =
         g.nodes().map(|n| (n.owner, BTreeSet::new())).collect();
     for e in g.edges() {
@@ -85,10 +64,10 @@ fn reference_projection(g: &OverlayGraph) -> BTreeMap<Ident, BTreeSet<Ident>> {
 
 /// The routing table of a graph: every node's owner is a peer, and knows
 /// its own nodes and the targets of its unmarked and ring edges.
-fn reference_table(g: &OverlayGraph) -> BTreeMap<Ident, BTreeSet<NodeRef>> {
+fn reference_table(g: &Graph) -> BTreeMap<Ident, BTreeSet<NodeRef>> {
     let mut knowledge: BTreeMap<Ident, BTreeSet<NodeRef>> = BTreeMap::new();
     for n in g.nodes() {
-        knowledge.entry(n.owner).or_default().insert(*n);
+        knowledge.entry(n.owner).or_default().insert(n);
     }
     for e in g.edges().filter(|e| e.kind != EdgeKind::Connection) {
         knowledge.entry(e.from.owner).or_default().insert(e.to);
@@ -97,29 +76,24 @@ fn reference_table(g: &OverlayGraph) -> BTreeMap<Ident, BTreeSet<NodeRef>> {
 }
 
 /// Holds every check that reads the overlay of `engine` against the graph
-/// references built from `reference`, its [`reference_snapshot`];
+/// references built from `reference`, its [`Graph::of`];
 /// `connected_unmarked` is phase 1's verdict.
 fn check_walk(
     round: u64,
     target: &StableTopology,
     engine: &Engine<ReChordProtocol>,
-    reference: &OverlayGraph,
+    reference: &Graph,
     connected_unmarked: bool,
     audit: &StableStateAudit,
 ) {
     let overlay = Overlay::new(engine.iter());
-    assert!(overlay.nodes().iter().eq(reference.nodes()), "round {round}: nodes");
+    assert!(overlay.nodes().into_iter().eq(reference.nodes()), "round {round}: nodes");
     assert!(overlay.edges().eq(reference.edges()), "round {round}: edges");
-    assert_eq!(&snapshot_states(engine.iter()), reference, "round {round}: snapshot");
 
-    let mut unmarked: OverlayGraph =
-        reference.edges().filter(|e| e.kind == EdgeKind::Unmarked).collect();
-    for n in reference.nodes() {
-        unmarked.add_node(*n);
-    }
-    assert_eq!(connected_unmarked, connectivity::weakly_connected(&unmarked), "round {round}");
+    let unmarked = reference.only(EdgeKind::Unmarked);
+    assert_eq!(connected_unmarked, unmarked.weakly_connected(), "round {round}");
 
-    let projection = Projection::new(reference.nodes().copied(), reference.edges());
+    let projection = Projection::new(reference.nodes(), reference.edges());
     let adjacency = reference_projection(reference);
     assert_eq!(projection.peer_count(), adjacency.len(), "round {round}");
     for (u, outs) in &adjacency {
@@ -128,7 +102,7 @@ fn check_walk(
     assert_eq!(
         (audit.weakly_connected, audit.projection_strongly_connected, &audit.chord),
         (
-            connectivity::weakly_connected(reference),
+            reference.weakly_connected(),
             projection.strongly_connected(),
             &chord_coverage(&projection, target)
         ),
@@ -150,14 +124,14 @@ impl Record {
     /// verdicts after every round; returns whether the fixpoint was reached.
     fn run(&mut self, net: &mut ReChordNetwork, cap: u64) -> bool {
         let target = StableTopology::new(&net.real_ids());
-        let reference: OverlayGraph = target.desired_unmarked().collect();
+        let reference: Graph = target.desired_unmarked().collect();
         let report = net.engine_mut().run_until_fixpoint_observed(cap, |round, _, engine| {
             let cmp = Comparison::new(&target, engine);
             let almost = cmp.almost_stable();
-            let snapshot = reference_snapshot(engine);
-            assert_eq!(almost, reference.edges_subset_of(&snapshot), "round {round}");
-            let missing: Vec<_> = reference.edges().filter(|e| !snapshot.has_edge(e)).collect();
-            let extra: Vec<_> = snapshot
+            let graph = Graph::of(engine);
+            assert_eq!(almost, reference.edges_subset_of(&graph), "round {round}");
+            let missing: Vec<_> = reference.edges().filter(|e| !graph.has_edge(e)).collect();
+            let extra: Vec<_> = graph
                 .edges()
                 .filter(|e| e.kind == EdgeKind::Unmarked && !reference.has_edge(e))
                 .collect();
@@ -174,10 +148,10 @@ impl Record {
             let a = StableStateAudit::new(&target, engine);
             let fields = (a.weakly_connected, a.projection_strongly_connected, &a.chord);
             write!(self.audits, "{fields:?};").expect("writing to a String cannot fail");
-            check_walk(round, &target, engine, &snapshot, p.connected_unmarked, &a);
+            check_walk(round, &target, engine, &graph, p.connected_unmarked, &a);
         });
         let table = RoutingTable::from_network(net);
-        let reference = reference_table(&reference_snapshot(net.engine()));
+        let reference = reference_table(&Graph::of(net.engine()));
         assert!(table.peers().iter().eq(reference.keys()), "peers");
         for (peer, knows) in &reference {
             assert_eq!(table.knowledge_of(*peer), Some(knows), "peer {peer}");

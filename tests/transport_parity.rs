@@ -9,7 +9,9 @@
 //! deployments: the wire changes *how* state moves, never *what* the
 //! protocol computes.
 
-use rechord::core::network::{snapshot_states, ReChordNetwork};
+mod support;
+
+use rechord::core::network::ReChordNetwork;
 use rechord::net::{stabilize_lockstep, ClusterConfig};
 use rechord::placement::PlacementMap;
 use rechord::topology::{InitialTopology, TopologyKind};
@@ -62,13 +64,8 @@ fn lockstep_transport_matches_engine_on_golden_scenarios() {
             assert_eq!(got, want, "{name}: round {} message counts diverged", round + 1);
         }
 
-        // Same states, peer for peer...
-        let engine_states: Vec<_> = net.engine().iter().map(|(id, st)| (id, st.clone())).collect();
-        assert_eq!(states, engine_states, "{name}: converged states diverged");
-
-        // ...hence the same overlay snapshot...
-        let transport_snapshot = snapshot_states(states.iter().map(|(id, st)| (*id, st)));
-        assert_eq!(transport_snapshot, net.snapshot(), "{name}: snapshots diverged");
+        // Same states, peer for peer (so the same overlay)...
+        assert_eq!(states, support::states(&net), "{name}: converged states diverged");
 
         // ...and the same key placement a DHT would build on top.
         let peers: Vec<_> = states.iter().map(|(id, _)| *id).collect();
