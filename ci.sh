@@ -27,6 +27,14 @@ if grep -rnE 'OverlayGraph|snapshot_states' crates/*/src src; then
   exit 1
 fi
 
+# 0b. Report only: the size of the library code, the count simplicity
+#     changes quote. Non-blank lines before the first `#[cfg(test)]` of
+#     each crates/*/src file; proptests.rs and bin/ are left out.
+# shellcheck disable=SC2046
+awk 'FNR == 1 { t = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1 } !t && NF { n++ }
+  END { print "non-test library Rust: " n " lines" }' \
+  $(find crates/*/src -name '*.rs' ! -name proptests.rs ! -path '*/bin/*' | sort)
+
 # 1. Release build of every workspace member (libs, bins).
 run cargo build --release --offline
 

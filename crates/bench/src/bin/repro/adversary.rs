@@ -112,7 +112,6 @@ fn run_load(crimes: CrimeSet, fraction: f64, seed: u64, k: &Knobs) -> SimReport 
         crimes,
         sybil_wave: if crimes.contains(Crime::SybilJoinWave) { 2 } else { 0 },
         sybil_at: k.horizon / 4,
-        ..Default::default()
     };
     if crimes.contains(Crime::StallHeartbeats) {
         // Give the stalled-heartbeat attack a detector worth attacking.

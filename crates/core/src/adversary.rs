@@ -1,14 +1,14 @@
-//! Byzantine fault injection: a typed crime catalog and per-peer behavior
-//! policies, probing the edge of the self-stabilization envelope.
+//! Byzantine fault injection: a typed crime catalog and per-peer crime
+//! sets, probing the edge of the self-stabilization envelope.
 //!
 //! The paper's Theorem 1.1 assumes every peer *executes the rules*: crashed
 //! peers simply vanish (their connections fail, §4.2) and the six rules
 //! repair the ring from any weakly connected state. This module asks the
 //! question the paper leaves open — what happens when peers stay alive but
-//! **lie**? Each peer gets a [`Behavior`]: honest, byzantine with a
-//! [`CrimeSet`], or flaky (probabilistically sitting out rounds / dropping
-//! forwards). Policies are assigned deterministically from a seed, so every
-//! adversarial run is bit-reproducible.
+//! **lie**? Each peer's policy is a [`CrimeSet`]: empty for an honest peer,
+//! the crimes it commits for a byzantine one. Policies are assigned
+//! deterministically from a seed, so every adversarial run is
+//! bit-reproducible.
 //!
 //! Crimes split into two layers:
 //!
@@ -152,28 +152,17 @@ impl FromIterator<Crime> for CrimeSet {
     }
 }
 
-/// How one peer behaves, fixed for the lifetime of a run.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Behavior {
-    /// Executes the protocol and forwards requests faithfully.
-    Honest,
-    /// Commits every crime in the set, every opportunity it gets.
-    Byzantine(CrimeSet),
-    /// Honest intent, unreliable execution: with the given probability it
-    /// sits out a protocol round / drops a forward (crash-recovery faults,
-    /// not malice).
-    Flaky(f64),
-}
-
-/// Seeded, deterministic assignment of a [`Behavior`] to every peer.
+/// Seeded, deterministic assignment of a [`CrimeSet`] to every peer.
 ///
 /// Installed once (behind an `Arc`) into both the protocol and the workload
-/// simulator; lookups on peers without an entry return [`Behavior::Honest`],
-/// so an empty map is exactly the legacy honest network.
+/// simulator. A byzantine peer commits every crime in its set, every
+/// opportunity it gets; lookups on peers without an entry return
+/// [`CrimeSet::EMPTY`] (honest), so an empty map is exactly the legacy
+/// honest network.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct AdversaryMap {
     seed: u64,
-    policies: BTreeMap<Ident, Behavior>,
+    policies: BTreeMap<Ident, CrimeSet>,
 }
 
 impl AdversaryMap {
@@ -188,27 +177,19 @@ impl AdversaryMap {
         self.seed
     }
 
-    /// Pins `peer`'s behavior (used by [`AdversaryMap::assign`] and tests;
-    /// setting [`Behavior::Honest`] removes the entry).
-    pub fn set(&mut self, peer: Ident, behavior: Behavior) {
-        if behavior == Behavior::Honest {
+    /// Pins `peer`'s crime set (used by [`AdversaryMap::assign`] and
+    /// tests; setting [`CrimeSet::EMPTY`] removes the entry).
+    pub fn set(&mut self, peer: Ident, crimes: CrimeSet) {
+        if crimes.is_empty() {
             self.policies.remove(&peer);
         } else {
-            self.policies.insert(peer, behavior);
+            self.policies.insert(peer, crimes);
         }
-    }
-
-    /// The behavior of `peer` (honest unless pinned otherwise).
-    pub fn behavior_of(&self, peer: Ident) -> Behavior {
-        self.policies.get(&peer).copied().unwrap_or(Behavior::Honest)
     }
 
     /// The crime set of `peer` (empty unless byzantine).
     pub fn crimes_of(&self, peer: Ident) -> CrimeSet {
-        match self.behavior_of(peer) {
-            Behavior::Byzantine(crimes) => crimes,
-            _ => CrimeSet::EMPTY,
-        }
+        self.policies.get(&peer).copied().unwrap_or(CrimeSet::EMPTY)
     }
 
     /// Does `peer` commit `crime`?
@@ -218,11 +199,7 @@ impl AdversaryMap {
 
     /// All byzantine peers, ascending.
     pub fn byzantine_peers(&self) -> Vec<Ident> {
-        self.policies
-            .iter()
-            .filter(|(_, b)| matches!(b, Behavior::Byzantine(_)))
-            .map(|(&id, _)| id)
-            .collect()
+        self.policies.keys().copied().collect()
     }
 
     /// True iff every peer is honest.
@@ -230,44 +207,24 @@ impl AdversaryMap {
         self.policies.is_empty()
     }
 
-    /// Is any peer flaky?
-    pub fn has_flaky(&self) -> bool {
-        self.policies.values().any(|b| matches!(b, Behavior::Flaky(_)))
-    }
-
     /// Does any peer commit `crime`?
     pub fn any_commits(&self, crime: Crime) -> bool {
-        self.policies.values().any(|b| matches!(b, Behavior::Byzantine(c) if c.contains(crime)))
+        self.policies.values().any(|c| c.contains(crime))
     }
 
-    /// Deterministically corrupts `⌊fraction·n⌋` peers with `crimes` and
-    /// marks a further `⌊flaky_fraction·n⌋` as flaky with drop probability
-    /// `flaky_drop`. Selection ranks peers by `mix(seed, id)` — a fixed
-    /// seed pins *which* peers turn byzantine, independent of call order,
-    /// and growing the fraction only ever *adds* liars (monotone-degradation
-    /// scans compare like with like).
-    pub fn assign(
-        peers: &[Ident],
-        fraction: f64,
-        crimes: CrimeSet,
-        flaky_fraction: f64,
-        flaky_drop: f64,
-        seed: u64,
-    ) -> Self {
+    /// Deterministically corrupts `⌊fraction·n⌋` peers with `crimes`.
+    /// Selection ranks peers by `mix(seed, id)` — a fixed seed pins *which*
+    /// peers turn byzantine, independent of call order, and growing the
+    /// fraction only ever *adds* liars (monotone-degradation scans compare
+    /// like with like).
+    pub fn assign(peers: &[Ident], fraction: f64, crimes: CrimeSet, seed: u64) -> Self {
         assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0,1]");
-        assert!((0.0..=1.0).contains(&flaky_fraction), "flaky_fraction must be in [0,1]");
         let mut ranked: Vec<Ident> = peers.to_vec();
         ranked.sort_by_key(|&id| (mix(&[seed, id.raw()]), id));
         let n_byz = (fraction * peers.len() as f64).floor() as usize;
-        let n_flaky = (flaky_fraction * peers.len() as f64).floor() as usize;
         let mut map = AdversaryMap::new(seed);
-        if !crimes.is_empty() {
-            for &id in ranked.iter().take(n_byz) {
-                map.set(id, Behavior::Byzantine(crimes));
-            }
-        }
-        for &id in ranked.iter().skip(n_byz).take(n_flaky) {
-            map.set(id, Behavior::Flaky(flaky_drop));
+        for &id in ranked.iter().take(n_byz) {
+            map.set(id, crimes);
         }
         map
     }
@@ -286,15 +243,6 @@ pub fn mix(parts: &[u64]) -> u64 {
         h ^= h >> 31;
     }
     h
-}
-
-/// A deterministic Bernoulli coin: true with probability `p`, derived
-/// purely from `parts` via [`mix`].
-pub fn chance(parts: &[u64], p: f64) -> bool {
-    if p <= 0.0 {
-        return false;
-    }
-    ((mix(parts) >> 11) as f64 / (1u64 << 53) as f64) < p
 }
 
 /// How many consecutive rounds the honest subset must be quiet before a run
@@ -349,7 +297,7 @@ pub fn run_adversarial(
 ) -> (AdversaryOutcome, ReChordNetwork) {
     let topo = rechord_topology::TopologyKind::Random.generate(n, seed);
     let mut net = ReChordNetwork::from_topology(&topo, 1);
-    let map = AdversaryMap::assign(&net.real_ids(), fraction, crimes, 0.0, 0.0, seed);
+    let map = AdversaryMap::assign(&net.real_ids(), fraction, crimes, seed);
     let byzantine: BTreeSet<Ident> = map.byzantine_peers().into_iter().collect();
     net.set_adversary(std::sync::Arc::new(map));
 
@@ -408,41 +356,25 @@ mod tests {
     fn assign_is_deterministic_and_monotone_in_fraction() {
         let peers: Vec<Ident> = (0..40).map(|k| Ident::from_raw(k * 7919 + 13)).collect();
         let crimes = CrimeSet::single(Crime::DropForward);
-        let a = AdversaryMap::assign(&peers, 0.25, crimes, 0.0, 0.0, 99);
-        let b = AdversaryMap::assign(&peers, 0.25, crimes, 0.0, 0.0, 99);
+        let a = AdversaryMap::assign(&peers, 0.25, crimes, 99);
+        let b = AdversaryMap::assign(&peers, 0.25, crimes, 99);
         assert_eq!(a, b, "same inputs, same map");
         assert_eq!(a.byzantine_peers().len(), 10);
         // Growing the fraction only adds liars, never swaps them out.
-        let wider = AdversaryMap::assign(&peers, 0.5, crimes, 0.0, 0.0, 99);
+        let wider = AdversaryMap::assign(&peers, 0.5, crimes, 99);
         let small: BTreeSet<Ident> = a.byzantine_peers().into_iter().collect();
         let large: BTreeSet<Ident> = wider.byzantine_peers().into_iter().collect();
         assert!(small.is_subset(&large));
         // A different seed picks a different set (with overwhelming odds).
-        let other = AdversaryMap::assign(&peers, 0.25, crimes, 0.0, 0.0, 100);
+        let other = AdversaryMap::assign(&peers, 0.25, crimes, 100);
         assert_ne!(a.byzantine_peers(), other.byzantine_peers());
     }
 
     #[test]
     fn empty_crime_set_assigns_nobody() {
         let peers: Vec<Ident> = (0..10).map(|k| Ident::from_raw(k + 1)).collect();
-        let map = AdversaryMap::assign(&peers, 0.5, CrimeSet::EMPTY, 0.0, 0.0, 1);
+        let map = AdversaryMap::assign(&peers, 0.5, CrimeSet::EMPTY, 1);
         assert!(map.is_all_honest());
-    }
-
-    #[test]
-    fn flaky_assignment_is_disjoint_from_byzantine() {
-        let peers: Vec<Ident> = (0..20).map(|k| Ident::from_raw(k * 31 + 5)).collect();
-        let crimes = CrimeSet::single(Crime::MisrouteForward);
-        let map = AdversaryMap::assign(&peers, 0.25, crimes, 0.25, 0.5, 7);
-        let byz: BTreeSet<Ident> = map.byzantine_peers().into_iter().collect();
-        let flaky: BTreeSet<Ident> = peers
-            .iter()
-            .copied()
-            .filter(|&id| matches!(map.behavior_of(id), Behavior::Flaky(_)))
-            .collect();
-        assert_eq!(byz.len(), 5);
-        assert_eq!(flaky.len(), 5);
-        assert!(byz.is_disjoint(&flaky));
     }
 
     #[test]
@@ -450,14 +382,6 @@ mod tests {
         assert_eq!(mix(&[1, 2, 3]), mix(&[1, 2, 3]));
         assert_ne!(mix(&[1, 2, 3]), mix(&[3, 2, 1]));
         assert_ne!(mix(&[0]), mix(&[0, 0]));
-    }
-
-    #[test]
-    fn chance_respects_edges() {
-        assert!(!chance(&[1, 2], 0.0));
-        assert!(chance(&[1, 2], 1.0));
-        let hits = (0..4000u64).filter(|&k| chance(&[42, k], 0.25)).count();
-        assert!((800..1200).contains(&hits), "{hits}/4000 at p=0.25");
     }
 
     #[test]

@@ -59,7 +59,7 @@
 //! * [`metrics`] — the quantities plotted in the paper's Figures 5–7;
 //! * [`churn`] — join / graceful-leave / crash drivers (§4);
 //! * [`adversary`] — Byzantine fault injection: the crime catalog, per-peer
-//!   behavior policies, and the honest-subset convergence harness.
+//!   crime sets, and the honest-subset convergence harness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -78,7 +78,7 @@ pub mod rules;
 pub mod stability;
 pub mod state;
 
-pub use adversary::{AdversaryMap, Behavior, Crime, CrimeSet};
+pub use adversary::{AdversaryMap, Crime, CrimeSet};
 pub use metrics::NetworkMetrics;
 pub use msg::Msg;
 pub use network::ReChordNetwork;

@@ -140,7 +140,7 @@ impl ReChordNetwork {
         StableStateAudit::new(&StableTopology::new(self.engine.ids()), &self.engine)
     }
 
-    /// Installs per-peer behavior policies ([`crate::adversary`]); crimes
+    /// Installs per-peer crime sets ([`crate::adversary`]); crimes
     /// apply from the next round. An all-honest map is byte-for-byte
     /// equivalent to no map at all.
     pub fn set_adversary(&mut self, map: std::sync::Arc<crate::adversary::AdversaryMap>) {

@@ -218,7 +218,7 @@ proptest! {
         let crimes: crate::CrimeSet = (2u8..=6).map(crate::Crime::ViolateRule).collect();
         let topo = TopologyKind::Clique.generate(n, seed);
         let mut net = ReChordNetwork::from_topology(&topo, 1);
-        let map = AdversaryMap::assign(&net.real_ids(), 0.125, crimes, 0.0, 0.0, seed);
+        let map = AdversaryMap::assign(&net.real_ids(), 0.125, crimes, seed);
         let byz: std::collections::BTreeSet<_> = map.byzantine_peers().into_iter().collect();
         net.set_adversary(std::sync::Arc::new(map));
         let mut quiet = 0;

@@ -27,7 +27,7 @@ use std::sync::Arc;
 pub struct ReChordProtocol {
     /// Which rules run (default: all).
     pub mask: crate::ablation::RuleMask,
-    /// Per-peer behavior policies (default: none — all peers honest).
+    /// Per-peer crime sets (default: none — all peers honest).
     pub adversary: Option<Arc<AdversaryMap>>,
 }
 

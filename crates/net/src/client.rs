@@ -27,6 +27,7 @@
 //! oracle replay all route from the same peer.
 
 use crate::message::{NetMsg, RpcOp};
+use crate::peer::NodeReport;
 use crate::transport::{NetError, Transport};
 use rechord_core::adversary::mix;
 use rechord_id::Ident;
@@ -215,7 +216,7 @@ impl<T: Transport> ClusterClient<T> {
     }
 
     /// Asks one node for its final counters.
-    pub fn stats_of(&mut self, peer: Ident) -> Result<NetMsg, NetError> {
+    pub fn stats_of(&mut self, peer: Ident) -> Result<NodeReport, NetError> {
         self.transport.send(peer, NetMsg::StatsReq)?;
         let until = Instant::now() + self.reply_deadline;
         loop {
@@ -223,9 +224,9 @@ impl<T: Transport> ClusterClient<T> {
             if left.is_zero() {
                 return Err(NetError::Timeout);
             }
-            if let (got_from, msg @ NetMsg::Stats { .. }) = self.transport.recv(Some(left))? {
+            if let (got_from, NetMsg::Stats(report)) = self.transport.recv(Some(left))? {
                 if got_from == peer {
-                    return Ok(msg);
+                    return Ok(report);
                 }
             }
         }

@@ -14,6 +14,7 @@
 //! level keys out of ascending order are errors: a set or a map built from
 //! them would re-sort, and re-encode differently.
 
+use crate::peer::NodeReport;
 use crate::wire::{put_string, put_u32, put_u64, Reader, WireError};
 use rechord_core::msg::Msg;
 use rechord_core::state::{PeerState, RefSet, VirtualState};
@@ -188,22 +189,7 @@ pub enum NetMsg {
     StatsReq,
     /// End-of-run counters, for cross-checking against the direct-call
     /// engine's [`rechord_sim::FixpointReport`].
-    Stats {
-        /// Protocol rounds this peer executed.
-        rounds: u64,
-        /// Did the peer observe the global fixpoint?
-        converged: bool,
-        /// Protocol messages delivered to this peer.
-        delivered: u64,
-        /// Messages this peer addressed to unknown targets (dropped).
-        dropped: u64,
-        /// Data-plane RPCs this peer answered (as responsible peer).
-        served: u64,
-        /// Frames the transport dropped as undecodable (corrupt header or
-        /// payload) — a mis-speaking peer shows up here instead of as a
-        /// silent hang.
-        wire_errors: u64,
-    },
+    Stats(NodeReport),
 }
 
 const TAG_HELLO: u8 = 0x01;
@@ -457,14 +443,14 @@ impl NetMsg {
             }
             NetMsg::Shutdown => out.push(TAG_SHUTDOWN),
             NetMsg::StatsReq => out.push(TAG_STATS_REQ),
-            NetMsg::Stats { rounds, converged, delivered, dropped, served, wire_errors } => {
+            NetMsg::Stats(r) => {
                 out.push(TAG_STATS);
-                put_u64(out, *rounds);
-                put_bool(out, *converged);
-                put_u64(out, *delivered);
-                put_u64(out, *dropped);
-                put_u64(out, *served);
-                put_u64(out, *wire_errors);
+                put_u64(out, r.rounds);
+                put_bool(out, r.converged);
+                put_u64(out, r.delivered);
+                put_u64(out, r.dropped);
+                put_u64(out, r.served);
+                put_u64(out, r.wire_errors);
             }
         }
     }
@@ -533,14 +519,14 @@ impl NetMsg {
             },
             TAG_SHUTDOWN => NetMsg::Shutdown,
             TAG_STATS_REQ => NetMsg::StatsReq,
-            TAG_STATS => NetMsg::Stats {
+            TAG_STATS => NetMsg::Stats(NodeReport {
                 rounds: r.u64()?,
                 converged: read_bool(&mut r)?,
                 delivered: r.u64()?,
                 dropped: r.u64()?,
                 served: r.u64()?,
                 wire_errors: r.u64()?,
-            },
+            }),
             other => return Err(WireError::BadTag(other)),
         };
         r.finish()?;
@@ -627,14 +613,14 @@ mod tests {
             NetMsg::ReplicaPut { pos: id, key: 9, version: 2, value: "v".into() },
             NetMsg::Shutdown,
             NetMsg::StatsReq,
-            NetMsg::Stats {
+            NetMsg::Stats(NodeReport {
                 rounds: 9,
                 converged: true,
                 delivered: 100,
                 dropped: 2,
                 served: 50,
                 wire_errors: 1,
-            },
+            }),
         ];
         for m in msgs {
             let bytes = m.encode();
@@ -650,6 +636,25 @@ mod tests {
             assert_eq!(&corked[2..], &frame[..], "frame_into ≡ to_frame");
             assert_eq!(NetMsg::decode(payload), Ok(m), "frame roundtrip");
         }
+    }
+
+    #[test]
+    fn stats_encoding_is_pinned() {
+        // The fields go out in `NodeReport`'s declaration order. Round
+        // trips alone would not notice a reordering, so the bytes are pinned.
+        let m = NetMsg::Stats(NodeReport {
+            rounds: 9,
+            converged: true,
+            delivered: 300,
+            dropped: 2,
+            served: 50,
+            wire_errors: 1,
+        });
+        let want: [u8; 42] = [
+            15, 0, 0, 0, 0, 0, 0, 0, 9, 1, 0, 0, 0, 0, 0, 0, 1, 44, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0,
+            0, 0, 0, 0, 0, 50, 0, 0, 0, 0, 0, 0, 0, 1,
+        ];
+        assert_eq!(m.encode(), want);
     }
 
     #[test]

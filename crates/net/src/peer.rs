@@ -319,22 +319,9 @@ impl<T: Transport> NodePeer<T> {
                 }
             }
             NetMsg::Reply { .. } => {} // client-side message; ignore
-            NetMsg::StatsReq => {
-                let r = self.report();
-                self.transport.send_corked(
-                    from,
-                    NetMsg::Stats {
-                        rounds: r.rounds,
-                        converged: r.converged,
-                        delivered: r.delivered,
-                        dropped: r.dropped,
-                        served: r.served,
-                        wire_errors: r.wire_errors,
-                    },
-                )?;
-            }
+            NetMsg::StatsReq => self.transport.send_corked(from, NetMsg::Stats(self.report()))?,
             NetMsg::Shutdown => return Ok(Control::Shutdown),
-            NetMsg::Stats { .. } => {} // client-side message; ignore
+            NetMsg::Stats(_) => {} // client-side message; ignore
         }
         Ok(Control::Continue)
     }

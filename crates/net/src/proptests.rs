@@ -5,6 +5,7 @@
 //! [`WireError`], never a panic; what does decode re-encodes to its bytes.
 
 use crate::message::{ForwardedRpc, NetMsg, RpcOp};
+use crate::peer::NodeReport;
 use crate::wire::{self, split_frame, WireError, HEADER_LEN, MAX_FRAME_LEN};
 use proptest::prelude::*;
 use rechord_core::msg::Msg;
@@ -107,7 +108,14 @@ fn net_msg() -> impl Strategy<Value = NetMsg> {
         Just(NetMsg::StatsReq),
         ((any::<u64>(), any::<bool>()), (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()))
             .prop_map(|((rounds, converged), (delivered, dropped, served, wire_errors))| {
-                NetMsg::Stats { rounds, converged, delivered, dropped, served, wire_errors }
+                NetMsg::Stats(NodeReport {
+                    rounds,
+                    converged,
+                    delivered,
+                    dropped,
+                    served,
+                    wire_errors,
+                })
             }),
     ]
 }

@@ -20,8 +20,7 @@ use rechord_core::adversary::mix;
 use rechord_core::network::ReChordNetwork;
 use rechord_id::{IdSpace, Ident};
 use rechord_net::{
-    ClusterClient, ClusterConfig, NetMsg, PeerAddr, RpcResult, TcpTransport, ThreadedCluster,
-    Transport,
+    ClusterClient, ClusterConfig, PeerAddr, RpcResult, TcpTransport, ThreadedCluster, Transport,
 };
 use rechord_routing::{KvStore, RoutingTable};
 use rechord_topology::TopologyKind;
@@ -273,13 +272,9 @@ fn tcp_run(cfg: &ClusterConfig, shards: &[Vec<Request>], window: usize) -> Vec<V
         Duration::from_secs(30),
     );
     for &peer in &roster {
-        match control.stats_of(peer).expect("node stats") {
-            NetMsg::Stats { wire_errors, converged, .. } => {
-                assert!(converged, "node {peer} must report convergence");
-                assert_eq!(wire_errors, 0, "node {peer} dropped frames as undecodable");
-            }
-            other => panic!("unexpected stats reply: {other:?}"),
-        }
+        let report = control.stats_of(peer).expect("node stats");
+        assert!(report.converged, "node {peer} must report convergence");
+        assert_eq!(report.wire_errors, 0, "node {peer} dropped frames as undecodable");
     }
     control.shutdown_all().expect("shutdown");
     for child in &mut children.0 {

@@ -176,11 +176,22 @@ mod tests {
 
     #[test]
     fn missing_key_returns_none_but_routes() {
-        let kv = store(6, 9);
-        let via = kv.table().peers()[1];
-        let (val, out) = kv.get(via, 999).unwrap();
-        assert!(out.routed);
-        assert_eq!(val, None);
+        let base = store(6, 9);
+        let via = base.table().peers()[1];
+        let route_hops = route(base.table(), via, IdSpace::new(9).key_position(999)).hops();
+        for replication in [1, 3] {
+            let kv = KvStore::with_replication(base.table().clone(), IdSpace::new(9), replication);
+            let (val, out) = kv.get(via, 999).unwrap();
+            assert!(out.routed);
+            assert_eq!(val, None);
+            // A full miss charges the whole replica window: one hop more
+            // than a hit on the last replica, which costs `replicas - 1`.
+            // `NodePeer::serve` copies this charge, while `TrafficSim`
+            // charges `replicas - 1` for an acknowledged miss and 0 for a
+            // never-written key — a known inconsistency between the three
+            // request paths, kept until a benchmark re-record fixes it.
+            assert_eq!(out.hops, route_hops + replication);
+        }
     }
 
     #[test]

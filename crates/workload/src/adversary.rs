@@ -1,72 +1,46 @@
 //! Workload-layer adversary wiring: how many peers misbehave, what they
 //! do, and when the sybil wave strikes.
 //!
-//! The crime catalog and behavior policies themselves live in
+//! The crime catalog and per-peer crime sets themselves live in
 //! `rechord_core::adversary` (the protocol layer consults the same map);
-//! this module owns the *scenario* knobs — fraction corrupted, flaky
-//! fraction, sybil timing — and builds the immutable behavior map a
+//! this module owns the *scenario* knobs — fraction corrupted, crimes,
+//! sybil timing — and builds the immutable crime map a
 //! [`crate::TrafficSim`] installs into both layers at construction.
 
-use rechord_core::adversary::{mix, AdversaryMap, Behavior, Crime, CrimeSet};
+use rechord_core::adversary::{mix, AdversaryMap, Crime, CrimeSet};
 use rechord_id::Ident;
 
 /// Scenario-level adversary knobs. The default is fully honest and is
 /// byte-for-byte the legacy simulator: no policy map is installed, no
 /// event is scheduled, no random draw is consumed.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct AdversaryConfig {
     /// Fraction of the initial peers turned byzantine (⌊fraction·n⌋,
     /// selected deterministically from the seed).
     pub fraction: f64,
     /// The crime set every byzantine peer commits.
     pub crimes: CrimeSet,
-    /// Fraction of the remaining peers that are flaky (honest but
-    /// unreliable), disjoint from the byzantine set.
-    pub flaky_fraction: f64,
-    /// A flaky peer's probability of sitting out a protocol round or
-    /// dropping a forward.
-    pub flaky_drop: f64,
     /// Sybil identities each [`Crime::SybilJoinWave`] attacker injects.
     pub sybil_wave: usize,
     /// Virtual instant the sybil wave strikes.
     pub sybil_at: u64,
 }
 
-impl Default for AdversaryConfig {
-    fn default() -> Self {
-        AdversaryConfig {
-            fraction: 0.0,
-            crimes: CrimeSet::EMPTY,
-            flaky_fraction: 0.0,
-            flaky_drop: 0.0,
-            sybil_wave: 0,
-            sybil_at: 0,
-        }
-    }
-}
-
 impl AdversaryConfig {
-    /// Builds the behavior map over the initial `peers`, plus the
+    /// Builds the crime map over the initial `peers`, plus the
     /// `(attacker, sybil)` join list for the wave (empty unless the crime
     /// set includes [`Crime::SybilJoinWave`]). Sybil identities are
     /// precomputed here so the map can be frozen behind an `Arc` before
     /// the simulation starts — a sybil is byzantine from the instant it
     /// joins.
     pub fn build(&self, peers: &[Ident], seed: u64) -> (AdversaryMap, Vec<(Ident, Ident)>) {
-        let mut map = AdversaryMap::assign(
-            peers,
-            self.fraction,
-            self.crimes,
-            self.flaky_fraction,
-            self.flaky_drop,
-            seed,
-        );
+        let mut map = AdversaryMap::assign(peers, self.fraction, self.crimes, seed);
         let mut sybils = Vec::new();
         if self.sybil_wave > 0 && self.crimes.contains(Crime::SybilJoinWave) {
             for attacker in map.byzantine_peers() {
                 for k in 0..self.sybil_wave {
                     let sybil = Ident::from_raw(mix(&[seed, attacker.raw(), 0x5b11, k as u64]));
-                    map.set(sybil, Behavior::Byzantine(self.crimes));
+                    map.set(sybil, self.crimes);
                     sybils.push((attacker, sybil));
                 }
             }

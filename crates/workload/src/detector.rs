@@ -1,15 +1,10 @@
-//! Per-peer failure detection with false suspicions.
+//! Failure detection with false suspicions.
 //!
-//! The legacy model was one global constant: every crash becomes visible to
-//! every survivor exactly `detection_lag` ticks later, and the detector
-//! never errs. Real failure detectors are neither uniform nor accurate —
-//! they time out different peers at different moments and sometimes
-//! suspect peers that are merely slow. [`FailureDetector`] models both
-//! imperfections deterministically:
+//! Every crash becomes visible to every survivor exactly `detection_lag`
+//! ticks later (`WorkloadConfig::detection_lag`). Real failure detectors
+//! are not accurate — they sometimes suspect peers that are merely slow.
+//! [`FailureDetector`] models that imperfection deterministically:
 //!
-//! * **per-peer lag**: a crash of `v` is detected at
-//!   `detection_lag + mix(seed, v) % (lag_jitter + 1)` — each victim has
-//!   its own timeout;
 //! * **false suspicions**: on a configurable cadence the detector wrongly
 //!   suspects a live peer for `suspect_for` ticks; requests bounce off
 //!   suspected peers (entry points avoid them, hops landing on them
@@ -18,22 +13,18 @@
 //!   `Crime::StallHeartbeats`: a byzantine peer starves its clockwise
 //!   neighbor's heartbeats so the *victim* gets suspected every cadence.
 //!
-//! All randomness is the pure `mix` hash, so detector behavior never
-//! perturbs the simulation's RNG streams: the all-zero [`DetectorConfig`]
-//! is bit-identical to the legacy global-lag model.
+//! The simulator picks false-suspicion victims with the pure `mix` hash,
+//! so detector behavior never perturbs the simulation's RNG streams: the
+//! all-zero [`DetectorConfig`] is bit-identical to the legacy accurate
+//! detector.
 
-use rechord_core::adversary::mix;
 use rechord_id::Ident;
 use std::collections::BTreeMap;
 
 /// Failure-detector knobs. All-zero (the default) reproduces the legacy
-/// behavior: uniform lag, no false suspicions.
+/// behavior: no false suspicions.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DetectorConfig {
-    /// Per-victim jitter added to the base detection lag: crash detection
-    /// fires at `base + mix(seed, victim) % (lag_jitter + 1)`. `0` keeps
-    /// the uniform global lag.
-    pub lag_jitter: u64,
     /// Every this many ticks the detector falsely suspects one live peer
     /// (`0` = the detector never errs on its own; heartbeat-stalling
     /// attackers still fire on the `detection_lag` cadence).
@@ -54,12 +45,10 @@ pub struct SuspicionEvent {
     pub until: u64,
 }
 
-/// The per-peer failure detector: suspicion state plus the deterministic
-/// per-victim crash lag (see module docs).
+/// The failure detector's suspicion state (see module docs).
 #[derive(Clone, Debug)]
 pub struct FailureDetector {
     cfg: DetectorConfig,
-    seed: u64,
     /// Currently suspected peers → instant the suspicion clears.
     suspected: BTreeMap<Ident, u64>,
     timeline: Vec<SuspicionEvent>,
@@ -67,23 +56,8 @@ pub struct FailureDetector {
 
 impl FailureDetector {
     /// A detector with no active suspicions.
-    pub fn new(cfg: DetectorConfig, seed: u64) -> Self {
-        FailureDetector { cfg, seed, suspected: BTreeMap::new(), timeline: Vec::new() }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> DetectorConfig {
-        self.cfg
-    }
-
-    /// Ticks after `victim`'s crash until survivors scrub their views: the
-    /// base lag plus this victim's deterministic jitter.
-    pub fn crash_lag(&self, victim: Ident, base: u64) -> u64 {
-        if self.cfg.lag_jitter == 0 {
-            base
-        } else {
-            base + mix(&[self.seed, 0xde7e_c701, victim.raw()]) % (self.cfg.lag_jitter + 1)
-        }
+    pub fn new(cfg: DetectorConfig) -> Self {
+        FailureDetector { cfg, suspected: BTreeMap::new(), timeline: Vec::new() }
     }
 
     /// Suspects `peer` from `now` for the configured duration (extending an
@@ -127,9 +101,8 @@ mod tests {
 
     #[test]
     fn zero_config_is_the_legacy_detector() {
-        let mut d = FailureDetector::new(DetectorConfig::default(), 7);
+        let mut d = FailureDetector::new(DetectorConfig::default());
         let v = Ident::from_raw(42);
-        assert_eq!(d.crash_lag(v, 250), 250, "no jitter: the global constant");
         d.suspect(v, 100);
         assert!(!d.is_suspected(v, 100), "suspect_for 0 never suspects");
         assert!(!d.has_active(0));
@@ -137,21 +110,9 @@ mod tests {
     }
 
     #[test]
-    fn jittered_lag_is_deterministic_and_bounded() {
-        let cfg = DetectorConfig { lag_jitter: 100, ..Default::default() };
-        let d = FailureDetector::new(cfg, 9);
-        let lags: Vec<u64> =
-            (0..50).map(|k| d.crash_lag(Ident::from_raw(k * 7 + 1), 250)).collect();
-        assert!(lags.iter().all(|&l| (250..=350).contains(&l)));
-        assert!(lags.windows(2).any(|w| w[0] != w[1]), "per-victim lags differ");
-        let d2 = FailureDetector::new(cfg, 9);
-        assert_eq!(lags[3], d2.crash_lag(Ident::from_raw(22), 250));
-    }
-
-    #[test]
     fn suspicions_raise_extend_and_clear() {
         let cfg = DetectorConfig { suspect_for: 50, ..Default::default() };
-        let mut d = FailureDetector::new(cfg, 1);
+        let mut d = FailureDetector::new(cfg);
         let v = Ident::from_raw(5);
         d.suspect(v, 100);
         assert!(d.is_suspected(v, 100));

@@ -8,8 +8,6 @@ use rechord_id::Ident;
 /// peer's own virtual nodes are free — the peer simulates them in memory).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LatencyModel {
-    /// Every hop takes exactly this many ticks.
-    Fixed(u64),
     /// Uniform in `[lo, hi]` ticks, floored at 1 — a hop always takes at
     /// least one tick of virtual time, like every other model.
     Uniform {
@@ -35,7 +33,6 @@ impl LatencyModel {
     pub fn sample_keyed(&self, words: &[u64]) -> u64 {
         let h = mix(words);
         match *self {
-            LatencyModel::Fixed(t) => t.max(1),
             LatencyModel::Uniform { lo, hi } => {
                 assert!(lo <= hi, "uniform latency needs lo <= hi");
                 // Full-width range: `hi - lo + 1` would overflow, and the
@@ -57,7 +54,6 @@ impl LatencyModel {
     /// with `lo: 0`, where the ≥1 floor shifts the true mean slightly up).
     pub fn mean(&self) -> f64 {
         match *self {
-            LatencyModel::Fixed(t) => t.max(1) as f64,
             LatencyModel::Uniform { lo, hi } => ((lo as f64 + hi as f64) / 2.0).max(1.0),
             LatencyModel::Exponential { mean } => mean,
         }
@@ -171,13 +167,6 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-
-    #[test]
-    fn fixed_is_fixed_and_floored() {
-        assert_eq!(LatencyModel::Fixed(7).sample_keyed(&[1]), 7);
-        assert_eq!(LatencyModel::Fixed(0).sample_keyed(&[2]), 1);
-        assert_eq!(LatencyModel::Fixed(7).mean(), 7.0);
-    }
 
     #[test]
     fn uniform_stays_in_bounds() {

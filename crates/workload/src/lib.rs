@@ -34,14 +34,14 @@
 //! * **fault injection** — [`AdversaryConfig`] corrupts a seeded fraction
 //!   of peers with a typed crime set (drop/misroute forwards, poison
 //!   reads, sybil join waves, stalled heartbeats — see
-//!   `rechord_core::adversary`); the same behavior map drives protocol
+//!   `rechord_core::adversary`); the same crime map drives protocol
 //!   rounds *and* the request lifecycle, and poisoned answers surface as
 //!   [`OutcomeKind::Corrupted`];
-//! * [`FailureDetector`] — per-peer crash-detection lag with false
-//!   suspicions: requests bounce off live-but-suspected peers, and the
+//! * [`FailureDetector`] — false suspicions on top of the global
+//!   `detection_lag`: requests bounce off live-but-suspected peers, and the
 //!   suspect/clear timeline is reported per run. The all-zero
-//!   [`DetectorConfig`] reproduces the legacy global `detection_lag`
-//!   constant bit-for-bit.
+//!   [`DetectorConfig`] reproduces the legacy accurate detector
+//!   bit-for-bit.
 //!
 //! The simulator is single-threaded: one control-event queue, one
 //! `(time, request id)` min-heap of request events, every draw a keyed hash.

@@ -58,7 +58,7 @@ use crate::event::EventQueue;
 use crate::generator::{Op, Request, TrafficConfig, TrafficGen};
 use crate::latency::{LatencyModel, ServiceQueue};
 use crate::metrics::{OutcomeKind, RequestOutcome, SloSink, SloSummary};
-use rechord_core::adversary::{chance, mix, AdversaryMap, Behavior, Crime};
+use rechord_core::adversary::{mix, AdversaryMap, Crime};
 use rechord_core::network::ReChordNetwork;
 use rechord_id::{successor_index, IdSpace, Ident};
 use rechord_placement::{Departure, PlacementMap};
@@ -126,11 +126,11 @@ pub struct WorkloadConfig {
     /// instantaneous model (`repair_bandwidth: 0`) is the uncapped legacy
     /// oracle — the cap is ignored there.
     pub max_keys_per_peer: usize,
-    /// Byzantine/flaky behavior injection ([`AdversaryConfig`]). The
-    /// default is fully honest and reproduces legacy traces bit-for-bit.
+    /// Byzantine crime injection ([`AdversaryConfig`]). The default is
+    /// fully honest and reproduces legacy traces bit-for-bit.
     pub adversary: AdversaryConfig,
-    /// Per-peer failure-detector knobs ([`DetectorConfig`]). The default
-    /// (all zero) is the legacy uniform-lag, never-erring detector.
+    /// Failure-detector knobs ([`DetectorConfig`]). The default (all zero)
+    /// is the legacy never-erring detector.
     pub detector: DetectorConfig,
     /// Accepted and ignored: the simulator is single-threaded. The field
     /// survives only because `benchmark/` builds this struct literally.
@@ -299,11 +299,11 @@ pub struct TrafficSim {
     /// drain is in progress.
     repair_epoch: u64,
     repair_running: bool,
-    /// Per-peer behavior policies, shared with the protocol layer. An
+    /// Per-peer crime sets, shared with the protocol layer. An
     /// all-honest map takes every fast path and the run is bit-identical
     /// to the pre-adversary simulator.
     adversary: Arc<AdversaryMap>,
-    /// Per-peer failure detection (suspicions, jittered crash lags).
+    /// Failure detection: the suspect/clear state.
     detector: FailureDetector,
 }
 
@@ -322,7 +322,7 @@ impl TrafficSim {
         queue.push(cfg.round_every.max(1), SimEvent::Round);
         let mut placement = PlacementMap::from_peers(table.peers(), cfg.replication);
         placement.set_peer_capacity(cfg.max_keys_per_peer);
-        // Freeze the behavior map and install it into the protocol layer.
+        // Freeze the crime map and install it into the protocol layer.
         // An all-honest map is not installed at all — the protocol keeps
         // its `adversary: None` fast path and legacy runs stay untouched.
         let (adversary, sybils) = cfg.adversary.build(table.peers(), cfg.seed);
@@ -333,7 +333,7 @@ impl TrafficSim {
         for &(attacker, sybil) in &sybils {
             queue.push(cfg.adversary.sybil_at, SimEvent::SybilJoin { attacker, sybil });
         }
-        let detector = FailureDetector::new(cfg.detector, cfg.seed);
+        let detector = FailureDetector::new(cfg.detector);
         if cfg.detector.suspect_for > 0
             && (cfg.detector.false_suspect_every > 0
                 || adversary.any_commits(Crime::StallHeartbeats))
@@ -496,18 +496,7 @@ impl TrafficSim {
 
     fn on_round(&mut self) {
         self.round_scheduled = false;
-        let (out, dirty) = if self.adversary.has_flaky() {
-            // Flaky peers sit out this round with their drop probability —
-            // a deterministic coin per (peer, round), so reruns agree.
-            let map = Arc::clone(&self.adversary);
-            let k = self.rounds_run;
-            self.net.engine_mut().round_dirty_with_schedule(move |id| match map.behavior_of(id) {
-                Behavior::Flaky(p) => !chance(&[map.seed(), 0xf1a2_2221, k, id.raw()], p),
-                _ => true,
-            })
-        } else {
-            self.net.round_dirty()
-        };
+        let (out, dirty) = self.net.round_dirty();
         self.rounds_run += 1;
         self.table.refresh_dirty(&self.net, &dirty);
         if out.changed {
@@ -572,8 +561,8 @@ impl TrafficSim {
                     self.placement.apply_leave(peer, Departure::Crash);
                     self.service.forget(peer);
                     self.table.remove_peer(peer);
-                    let lag = self.detector.crash_lag(peer, self.cfg.detection_lag);
-                    self.queue.push(self.queue.now() + lag, SimEvent::DetectCrash(peer));
+                    let at = self.queue.now() + self.cfg.detection_lag;
+                    self.queue.push(at, SimEvent::DetectCrash(peer));
                 }
             }
         }
@@ -585,7 +574,7 @@ impl TrafficSim {
 
     // ---- failure detection & adversary events -----------------------------
 
-    /// The detector concludes a crash `detection_lag (+ jitter)` after the
+    /// The detector concludes a crash `detection_lag` after the
     /// fact. A peer that *rejoined under the same identity* before the
     /// event fired is alive — the detection is stale and must be ignored,
     /// not scrub the live peer's view entries.
@@ -798,30 +787,20 @@ impl TrafficSim {
         // The *forwarder* (the current resident peer) decides the hop's
         // fate before the honest greedy choice ships.
         if !self.adversary.is_all_honest() {
-            match self.adversary.behavior_of(f.peer) {
-                Behavior::Byzantine(crimes) => {
-                    if crimes.contains(Crime::DropForward) {
-                        // Silent drop: the client times out and pays the
-                        // full retry price.
-                        return self.retry(now, f);
-                    }
-                    if crimes.contains(Crime::MisrouteForward) {
-                        if let Some(worst) = self.worst_forward(f.peer, key_pos) {
-                            // Ship the request to the worst known peer
-                            // without advancing the route cursor: a hop is
-                            // burned and no logical progress is made.
-                            next = worst;
-                            next_cursor = f.cursor;
-                        }
-                    }
+            let crimes = self.adversary.crimes_of(f.peer);
+            if crimes.contains(Crime::DropForward) {
+                // Silent drop: the client times out and pays the full retry
+                // price.
+                return self.retry(now, f);
+            }
+            if crimes.contains(Crime::MisrouteForward) {
+                if let Some(worst) = self.worst_forward(f.peer, key_pos) {
+                    // Ship the request to the worst known peer without
+                    // advancing the route cursor: a hop is burned and no
+                    // logical progress is made.
+                    next = worst;
+                    next_cursor = f.cursor;
                 }
-                Behavior::Flaky(p) => {
-                    let coin = [self.adversary.seed(), 0xd201_f0f0, f.req.id, u64::from(f.hops)];
-                    if chance(&coin, p) {
-                        return self.retry(now, f);
-                    }
-                }
-                Behavior::Honest => {}
             }
         }
         f.cursor = next_cursor;
@@ -1415,7 +1394,7 @@ mod tests {
     #[test]
     fn false_suspicions_bounce_requests_off_live_peers() {
         let mut cfg = steady_cfg(29);
-        cfg.detector = DetectorConfig { false_suspect_every: 100, suspect_for: 300, lag_jitter: 0 };
+        cfg.detector = DetectorConfig { false_suspect_every: 100, suspect_for: 300 };
         let mut sim = TrafficSim::new(cfg, stable_net(12, 29), &TimedChurnPlan::default());
         sim.preload();
         let report = sim.run();
@@ -1439,7 +1418,6 @@ mod tests {
             crimes: CrimeSet::single(Crime::SybilJoinWave).with(Crime::StaleReadPoison),
             sybil_wave: 2,
             sybil_at: 500,
-            ..Default::default()
         };
         let mut sim = TrafficSim::new(cfg, stable_net(12, 37), &TimedChurnPlan::default());
         sim.preload();

@@ -222,7 +222,7 @@ fn an_adversary_installed_mid_run_matches_the_sweep() {
     let mut net = stable(24, 7, &mut round);
     checked_idle(net.engine_mut(), &mut round, 2);
     let liars = CrimeSet::single(Crime::LieAboutSuccessor);
-    net.set_adversary(Arc::new(AdversaryMap::assign(&net.real_ids(), 0.25, liars, 0.0, 0.0, 7)));
+    net.set_adversary(Arc::new(AdversaryMap::assign(&net.real_ids(), 0.25, liars, 7)));
     for _ in 0..150 {
         let out = checked_round(net.engine_mut(), round, |_| true);
         round += 1;

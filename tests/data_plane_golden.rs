@@ -15,6 +15,8 @@
 //! A change that moves one of these constants changed what clients observe:
 //! re-record only when that is the intent.
 
+mod support;
+
 use rechord::core::network::ReChordNetwork;
 use rechord::core::{Crime, CrimeSet};
 use rechord::topology::{TimedChurnPlan, TopologyKind};
@@ -35,12 +37,6 @@ struct Golden<'a> {
     placement_digest: u64,
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
-}
-
 /// Runs the preloaded scenario once and asserts its fingerprint is `want`.
 fn assert_golden(
     cfg: WorkloadConfig,
@@ -53,7 +49,7 @@ fn assert_golden(
     let r = sim.run();
     let summary = r.summary.to_string();
     let got = Golden {
-        trace_fnv1a: fnv1a(r.sink.trace().as_bytes()),
+        trace_fnv1a: support::fnv1a(r.sink.trace().as_bytes()),
         summary: &summary,
         rounds: r.rounds,
         final_peers: r.final_peers,

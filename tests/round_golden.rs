@@ -19,6 +19,8 @@
 //! A change that moves one of these constants changed what the protocol
 //! does: re-record only when that is the intent.
 
+mod support;
+
 use rechord::chord::{ChordProtocol, ChordState};
 use rechord::core::ablation::RuleMask;
 use rechord::core::adversary::mix;
@@ -40,12 +42,6 @@ struct Golden {
     messages: usize,
     rounds_fnv1a: u64,
     states_fnv1a: u64,
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
 /// The per-round record of one scenario, across all its phases.
@@ -84,8 +80,8 @@ impl Log {
         Golden {
             rounds: self.rounds,
             messages: self.messages,
-            rounds_fnv1a: fnv1a(self.per_round.as_bytes()),
-            states_fnv1a: fnv1a(states.as_bytes()),
+            rounds_fnv1a: support::fnv1a(self.per_round.as_bytes()),
+            states_fnv1a: support::fnv1a(states.as_bytes()),
         }
     }
 }
@@ -254,7 +250,7 @@ fn lying_successor_run_matches_its_golden() {
     let topo = TopologyKind::Random.generate(24, 7);
     let mut net = ReChordNetwork::from_topology(&topo, 1);
     let liars = CrimeSet::single(Crime::LieAboutSuccessor);
-    net.set_adversary(Arc::new(AdversaryMap::assign(&net.real_ids(), 0.25, liars, 0.0, 0.0, 7)));
+    net.set_adversary(Arc::new(AdversaryMap::assign(&net.real_ids(), 0.25, liars, 7)));
     let mut log = Log::default();
     log.until_fixpoint(net.engine_mut(), 300);
     let want = Golden {
