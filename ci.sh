@@ -26,6 +26,14 @@ if grep -rnE 'OverlayGraph|snapshot_states' crates/*/src src; then
   echo 'ci.sh: a source under crates/*/src or src/ names OverlayGraph or snapshot_states; read core::network::Overlay instead' >&2
   exit 1
 fi
+#     Likewise one rule gate and one source of suspicion: a peer's
+#     `CrimeSet`. Ablating rule k is every peer committing
+#     `Crime::ViolateRule(k)`; only `Crime::StallHeartbeats` makes the
+#     failure detector suspect a live peer.
+if grep -rnE 'RuleMask|from_topology_with_mask|false_suspect_every' crates/*/src src; then
+  echo 'ci.sh: a source under crates/*/src or src/ names RuleMask, from_topology_with_mask or false_suspect_every; use ablation::ablate or Crime::StallHeartbeats instead' >&2
+  exit 1
+fi
 
 # 0b. Report only: the size of the library code, the count simplicity
 #     changes quote. Non-blank lines before the first `#[cfg(test)]` of

@@ -115,7 +115,7 @@ fn run_load(crimes: CrimeSet, fraction: f64, seed: u64, k: &Knobs) -> SimReport 
     };
     if crimes.contains(Crime::StallHeartbeats) {
         // Give the stalled-heartbeat attack a detector worth attacking.
-        cfg.detector = DetectorConfig { suspect_for: 400, ..Default::default() };
+        cfg.detector = DetectorConfig { suspect_for: 400 };
     }
     serve(cfg, k)
 }
@@ -291,8 +291,8 @@ pub fn run(h: &Harness) {
         let honest = honest_trace(seed, &k);
         for (name, crimes) in workload_crimes() {
             // Note stall-heartbeats arms the detector (suspect_for > 0),
-            // but with zero attackers and no false-suspicion cadence it
-            // never raises a suspicion — parity must still hold.
+            // but with zero attackers nothing schedules a detector tick,
+            // so it never raises a suspicion — parity must still hold.
             let r = run_load(crimes, 0.0, seed, &k);
             assert_eq!(
                 r.sink.trace(),

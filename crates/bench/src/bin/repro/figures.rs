@@ -7,7 +7,7 @@ use rechord_bench::{
     cell, means, stabilized_random, write_table, Harness, MAX_ROUNDS, PAPER_SIZES,
 };
 use rechord_chord::ChordNetwork;
-use rechord_core::ablation::{run_ablated, RuleMask};
+use rechord_core::ablation::{self, run_ablated};
 use rechord_core::network::ReChordNetwork;
 use rechord_core::oracle::StableTopology;
 use rechord_core::phases::PhaseStatus;
@@ -513,14 +513,14 @@ pub fn ablation(h: &Harness) {
     let budget = 5_000u64;
     println!("Rule ablation at n={n} ({trials} trials, {budget}-round budget)\n");
 
-    let mut masks = vec![RuleMask::ALL];
-    masks.extend((2u8..=6).map(RuleMask::without));
+    let mut rules = vec![None];
+    rules.extend((2u8..=6).map(Some));
     let points = h.sweep(
         trials,
-        &masks,
+        &rules,
         |_| 0xab1a + n as u64,
-        |mask, seed| {
-            let (out, net) = run_ablated(mask, n, seed, budget);
+        |rule, seed| {
+            let (out, net) = run_ablated(rule, n, seed, budget);
             // wrap-routing probe: from the last (largest) peer, look up keys
             // just past 0 — greedy progress must cross the boundary.
             let t = RoutingTable::from_network(&net);
@@ -561,7 +561,7 @@ pub fn ablation(h: &Harness) {
     ]);
     for p in &points {
         table.row(&[
-            p.at.label(),
+            ablation::label(p.at).to_string(),
             format!("{}/{trials}", p.sum(0)),
             cell(p.stats[1].mean, 1),
             cell(p.stats[2].mean, 1),

@@ -118,7 +118,7 @@ pub fn scenario_config(seed: u64, horizon: u64, interarrival: f64) -> WorkloadCo
 
 /// One point of a [`Harness::sweep`].
 pub struct Point<P, const K: usize> {
-    /// The swept parameter (a size, a topology × size, a rule mask, …).
+    /// The swept parameter (a size, a topology × size, an ablated rule, …).
     pub at: P,
     /// The `K` values of every trial, in seed order.
     pub raw: Vec<[f64; K]>,

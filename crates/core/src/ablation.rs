@@ -17,82 +17,44 @@
 //!
 //! Rule 1 (virtual nodes) cannot be ablated: without it there is no node
 //! set to maintain.
+//!
+//! An ablation is an adversary in which every peer commits
+//! [`Crime::ViolateRule`]`(k)` ([`ablate`]): a peer's [`CrimeSet`] is the
+//! only place a run departs from honest peers running all six rules.
 
-/// Which rules run. Rule 1 is always on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RuleMask {
-    /// Rule 2 — overlapping neighborhood.
-    pub overlap: bool,
-    /// Rule 3 — closest real neighbor.
-    pub closest_real: bool,
-    /// Rule 4 — linearization.
-    pub linearize: bool,
-    /// Rule 5 — ring edges.
-    pub ring: bool,
-    /// Rule 6 — connection edges.
-    pub connection: bool,
+use crate::adversary::{AdversaryMap, Crime, CrimeSet};
+use crate::network::ReChordNetwork;
+use std::sync::Arc;
+
+/// Ablates `rule` (2–6) on every peer present: each commits
+/// [`Crime::ViolateRule`]`(rule)`, the gate
+/// [`crate::protocol::ReChordProtocol`] checks before firing a rule. The
+/// map replaces any installed adversary. The ablation covers the peers
+/// present now: a peer that joins later has no crimes and runs every rule.
+pub fn ablate(net: &mut ReChordNetwork, rule: u8) {
+    assert!((2..=6).contains(&rule), "only rules 2..=6 can be ablated");
+    let crimes = CrimeSet::single(Crime::ViolateRule(rule));
+    net.set_adversary(Arc::new(AdversaryMap::assign(&net.real_ids(), 1.0, crimes, 0)));
 }
 
-impl Default for RuleMask {
-    fn default() -> Self {
-        Self::ALL
-    }
-}
-
-impl RuleMask {
-    /// The full protocol.
-    pub const ALL: RuleMask = RuleMask {
-        overlap: true,
-        closest_real: true,
-        linearize: true,
-        ring: true,
-        connection: true,
-    };
-
-    /// The full protocol minus one named rule (2–6).
-    pub fn without(rule: u8) -> RuleMask {
-        let mut m = RuleMask::ALL;
-        match rule {
-            2 => m.overlap = false,
-            3 => m.closest_real = false,
-            4 => m.linearize = false,
-            5 => m.ring = false,
-            6 => m.connection = false,
-            _ => panic!("only rules 2..=6 can be ablated"),
-        }
-        m
-    }
-
-    /// Human-readable label of the ablated rule set.
-    pub fn label(&self) -> String {
-        if *self == RuleMask::ALL {
-            return "full".to_string();
-        }
-        let mut off = Vec::new();
-        if !self.overlap {
-            off.push("overlap(2)");
-        }
-        if !self.closest_real {
-            off.push("closest-real(3)");
-        }
-        if !self.linearize {
-            off.push("linearize(4)");
-        }
-        if !self.ring {
-            off.push("ring(5)");
-        }
-        if !self.connection {
-            off.push("connection(6)");
-        }
-        format!("-{}", off.join(",-"))
+/// Human-readable label of a run: `full`, or the one ablated rule.
+pub fn label(rule: Option<u8>) -> &'static str {
+    match rule {
+        None => "full",
+        Some(2) => "-overlap(2)",
+        Some(3) => "-closest-real(3)",
+        Some(4) => "-linearize(4)",
+        Some(5) => "-ring(5)",
+        Some(6) => "-connection(6)",
+        Some(_) => panic!("only rules 2..=6 can be ablated"),
     }
 }
 
 /// Outcome of one ablated run (see the `ablation` binary).
 #[derive(Clone, Debug)]
 pub struct AblationOutcome {
-    /// The rule set used.
-    pub mask: RuleMask,
+    /// The ablated rule (`None`: the full protocol).
+    pub rule: Option<u8>,
     /// Did the run reach a fixpoint within budget?
     pub converged: bool,
     /// Rounds executed.
@@ -111,18 +73,20 @@ pub struct AblationOutcome {
 /// returning the outcome and the final network (for deeper probes, e.g.
 /// wrap-routing checks in the `ablation` binary).
 pub fn run_ablated(
-    mask: RuleMask,
+    rule: Option<u8>,
     n: usize,
     seed: u64,
     max_rounds: u64,
-) -> (AblationOutcome, crate::network::ReChordNetwork) {
-    use crate::network::ReChordNetwork;
+) -> (AblationOutcome, ReChordNetwork) {
     let topo = rechord_topology::TopologyKind::Random.generate(n, seed);
-    let mut net = ReChordNetwork::from_topology_with_mask(&topo, 1, mask);
+    let mut net = ReChordNetwork::from_topology(&topo, 1);
+    if let Some(rule) = rule {
+        ablate(&mut net, rule);
+    }
     let report = net.run_until_stable(max_rounds);
     let audit = net.audit();
     let outcome = AblationOutcome {
-        mask,
+        rule,
         converged: report.converged,
         rounds: report.rounds,
         missing_desired: audit.missing_unmarked.len(),
@@ -138,23 +102,37 @@ mod tests {
 
     #[test]
     fn labels() {
-        assert_eq!(RuleMask::ALL.label(), "full");
-        assert_eq!(RuleMask::without(4).label(), "-linearize(4)");
-        let mut m = RuleMask::ALL;
-        m.ring = false;
-        m.connection = false;
-        assert_eq!(m.label(), "-ring(5),-connection(6)");
+        assert_eq!(label(None), "full");
+        assert_eq!(label(Some(4)), "-linearize(4)");
+        assert_eq!(label(Some(6)), "-connection(6)");
     }
 
     #[test]
     #[should_panic(expected = "only rules 2..=6")]
     fn rule_one_cannot_be_ablated() {
-        let _ = RuleMask::without(1);
+        let topo = rechord_topology::TopologyKind::Random.generate(4, 1);
+        ablate(&mut ReChordNetwork::from_topology(&topo, 1), 1);
+    }
+
+    #[test]
+    fn a_joiner_after_ablation_runs_every_rule() {
+        let topo = rechord_topology::TopologyKind::Random.generate(6, 2);
+        let mut net = ReChordNetwork::from_topology(&topo, 1);
+        ablate(&mut net, 4);
+        let original = net.real_ids();
+        let joiner = rechord_id::Ident::from_raw(0x5eed_0000_0000_0001);
+        assert!(!original.contains(&joiner));
+        assert!(net.join_via(joiner, original[0]));
+        let adversary = &net.engine().protocol().adversary;
+        for &peer in &original {
+            assert_eq!(adversary.crimes_of(peer), CrimeSet::single(Crime::ViolateRule(4)));
+        }
+        assert_eq!(adversary.crimes_of(joiner), CrimeSet::EMPTY);
     }
 
     #[test]
     fn full_mask_converges_cleanly() {
-        let (out, _) = run_ablated(RuleMask::ALL, 10, 3, 50_000);
+        let (out, _) = run_ablated(None, 10, 3, 50_000);
         assert!(out.converged);
         assert_eq!(out.missing_desired, 0);
         assert!(out.overlay_connected);
@@ -163,7 +141,7 @@ mod tests {
 
     #[test]
     fn ablating_linearization_breaks_the_topology() {
-        let (out, _) = run_ablated(RuleMask::without(4), 10, 3, 2_000);
+        let (out, _) = run_ablated(Some(4), 10, 3, 2_000);
         assert!(
             !out.converged || out.missing_desired > 0,
             "without linearization the Re-Chord topology must not emerge: {out:?}"
@@ -172,13 +150,13 @@ mod tests {
 
     #[test]
     fn ablating_closest_real_breaks_the_topology() {
-        let (out, _) = run_ablated(RuleMask::without(3), 10, 3, 2_000);
+        let (out, _) = run_ablated(Some(3), 10, 3, 2_000);
         assert!(!out.converged || out.missing_desired > 0, "{out:?}");
     }
 
     #[test]
     fn ablating_ring_rule_leaves_wrap_open() {
-        let (out, _) = run_ablated(RuleMask::without(5), 10, 3, 50_000);
+        let (out, _) = run_ablated(Some(5), 10, 3, 50_000);
         assert!(out.converged, "converges to a sorted *list*...");
         assert!(!out.ring_pair_present, "...but the wrap-around never closes");
     }

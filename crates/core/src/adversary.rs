@@ -152,31 +152,19 @@ impl FromIterator<Crime> for CrimeSet {
     }
 }
 
-/// Seeded, deterministic assignment of a [`CrimeSet`] to every peer.
+/// A [`CrimeSet`] per peer.
 ///
 /// Installed once (behind an `Arc`) into both the protocol and the workload
 /// simulator. A byzantine peer commits every crime in its set, every
 /// opportunity it gets; lookups on peers without an entry return
-/// [`CrimeSet::EMPTY`] (honest), so an empty map is exactly the legacy
-/// honest network.
+/// [`CrimeSet::EMPTY`] (honest), so the empty map
+/// (`AdversaryMap::default()`) is the honest network.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct AdversaryMap {
-    seed: u64,
     policies: BTreeMap<Ident, CrimeSet>,
 }
 
 impl AdversaryMap {
-    /// An all-honest map rooted at `seed` (the seed still matters: it feeds
-    /// every [`mix`]-derived coin the crimes flip).
-    pub fn new(seed: u64) -> Self {
-        AdversaryMap { seed, policies: BTreeMap::new() }
-    }
-
-    /// The adversarial seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Pins `peer`'s crime set (used by [`AdversaryMap::assign`] and
     /// tests; setting [`CrimeSet::EMPTY`] removes the entry).
     pub fn set(&mut self, peer: Ident, crimes: CrimeSet) {
@@ -222,7 +210,7 @@ impl AdversaryMap {
         let mut ranked: Vec<Ident> = peers.to_vec();
         ranked.sort_by_key(|&id| (mix(&[seed, id.raw()]), id));
         let n_byz = (fraction * peers.len() as f64).floor() as usize;
-        let mut map = AdversaryMap::new(seed);
+        let mut map = AdversaryMap::default();
         for &id in ranked.iter().take(n_byz) {
             map.set(id, crimes);
         }
@@ -286,8 +274,9 @@ pub fn honest_ring_ok(net: &ReChordNetwork, byzantine: &BTreeSet<Ident>) -> bool
 /// Runs the full protocol on a random weakly connected instance with
 /// `⌊fraction·n⌋` byzantine peers committing `crimes`, until the honest
 /// subset is quiet for [`HONEST_QUIET_ROUNDS`] consecutive rounds or
-/// `max_rounds` elapse. The core-layer counterpart of
-/// [`crate::ablation::run_ablated`].
+/// `max_rounds` elapse. [`crate::ablation::run_ablated`] is the same setup
+/// at fraction 1 with one [`Crime::ViolateRule`], run to the global
+/// fixpoint.
 pub fn run_adversarial(
     n: usize,
     seed: u64,
@@ -391,10 +380,10 @@ mod tests {
         assert!(out.converged);
         assert_eq!(out.byzantine, 0);
         assert!(out.honest_ring_ok);
-        let (plain, _) =
-            crate::ablation::run_ablated(crate::ablation::RuleMask::ALL, 12, 3, 50_000);
+        let (plain, plain_net) = crate::ablation::run_ablated(None, 12, 3, 50_000);
         assert!(plain.converged);
         assert_eq!(net.audit().missing_unmarked.len(), 0);
+        assert!(net.engine().iter().eq(plain_net.engine().iter()));
     }
 
     #[test]

@@ -59,7 +59,9 @@
 //! * [`metrics`] — the quantities plotted in the paper's Figures 5–7;
 //! * [`churn`] — join / graceful-leave / crash drivers (§4);
 //! * [`adversary`] — Byzantine fault injection: the crime catalog, per-peer
-//!   crime sets, and the honest-subset convergence harness.
+//!   crime sets, and the honest-subset convergence harness;
+//! * [`ablation`] — switching one of rules 2–6 off: every peer commits
+//!   `ViolateRule(k)`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

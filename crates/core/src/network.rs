@@ -42,18 +42,8 @@ impl ReChordNetwork {
     /// assert!(report.converged);
     /// assert!(net.audit().missing_unmarked.is_empty());
     /// ```
-    pub fn from_topology(topology: &InitialTopology, threads: usize) -> Self {
-        Self::from_topology_with_mask(topology, threads, crate::ablation::RuleMask::ALL)
-    }
-
-    /// Like [`ReChordNetwork::from_topology`] with an ablated rule set
-    /// (see [`crate::ablation`]).
-    pub fn from_topology_with_mask(
-        topology: &InitialTopology,
-        _threads: usize,
-        mask: crate::ablation::RuleMask,
-    ) -> Self {
-        let mut engine = Engine::new(ReChordProtocol::with_mask(mask));
+    pub fn from_topology(topology: &InitialTopology, _threads: usize) -> Self {
+        let mut engine = Engine::new(ReChordProtocol::full());
         for &id in &topology.ids {
             engine.insert_node(id, PeerState::new());
         }
@@ -140,11 +130,11 @@ impl ReChordNetwork {
         StableStateAudit::new(&StableTopology::new(self.engine.ids()), &self.engine)
     }
 
-    /// Installs per-peer crime sets ([`crate::adversary`]); crimes
-    /// apply from the next round. An all-honest map is byte-for-byte
-    /// equivalent to no map at all.
+    /// Installs per-peer crime sets ([`crate::adversary`]), replacing the
+    /// current map; crimes apply from the next round. An all-honest map is
+    /// the honest protocol.
     pub fn set_adversary(&mut self, map: std::sync::Arc<crate::adversary::AdversaryMap>) {
-        self.engine.protocol_mut().adversary = Some(map);
+        self.engine.protocol_mut().adversary = map;
     }
 
     /// Read access to the underlying engine.

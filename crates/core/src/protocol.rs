@@ -14,32 +14,24 @@ use std::sync::Arc;
 /// set of rules, it updates its variables"), then fires rules 1–6 in paper
 /// order for all of its simulated nodes.
 ///
-/// The `mask` selects which of rules 2–6 run — [`crate::ablation`]'s
-/// experiment knob; the default is the full protocol. The optional
-/// `adversary` map injects per-peer protocol crimes
-/// ([`crate::adversary`]): a byzantine peer may suppress individual rules
-/// on its own state ([`Crime::ViolateRule`]) or rewrite its outgoing edge
-/// payloads to claim itself as everyone's neighbor
-/// ([`Crime::LieAboutSuccessor`]). With no map installed — or a map in
-/// which every peer is honest — the step function is byte-for-byte the
-/// legacy honest protocol.
+/// The `adversary` map is the one place a run departs from honest peers
+/// running all six rules ([`crate::adversary`]): a peer may suppress
+/// individual rules on its own state ([`Crime::ViolateRule`]; every peer
+/// doing so is [`crate::ablation`]'s experiment) or rewrite its outgoing
+/// edge payloads to claim itself as everyone's neighbor
+/// ([`Crime::LieAboutSuccessor`]). With the empty map (the default) — or
+/// any map in which every peer is honest — the step function is the
+/// honest protocol.
 #[derive(Clone, Debug, Default)]
 pub struct ReChordProtocol {
-    /// Which rules run (default: all).
-    pub mask: crate::ablation::RuleMask,
-    /// Per-peer crime sets (default: none — all peers honest).
-    pub adversary: Option<Arc<AdversaryMap>>,
+    /// Per-peer crime sets (default: empty — all peers honest).
+    pub adversary: Arc<AdversaryMap>,
 }
 
 impl ReChordProtocol {
     /// The full (paper) protocol.
     pub fn full() -> Self {
         Self::default()
-    }
-
-    /// The protocol with only the rules enabled in `mask`.
-    pub fn with_mask(mask: crate::ablation::RuleMask) -> Self {
-        ReChordProtocol { mask, adversary: None }
     }
 }
 
@@ -129,21 +121,21 @@ impl ReChordProtocol {
         let m = state.compute_m(me);
         let mut ctx = RuleCtx { me, state, view, out };
         if !crimes.contains(Crime::ViolateRule(1)) {
-            rules::virtual_nodes::apply(&mut ctx, m); // rule 1 (no global ablation)
+            rules::virtual_nodes::apply(&mut ctx, m); // rule 1
         }
-        if self.mask.overlap && !crimes.contains(Crime::ViolateRule(2)) {
+        if !crimes.contains(Crime::ViolateRule(2)) {
             rules::overlap::apply(&mut ctx); //      rule 2
         }
-        if self.mask.closest_real && !crimes.contains(Crime::ViolateRule(3)) {
+        if !crimes.contains(Crime::ViolateRule(3)) {
             rules::closest_real::apply(&mut ctx); // rule 3
         }
-        if self.mask.linearize && !crimes.contains(Crime::ViolateRule(4)) {
+        if !crimes.contains(Crime::ViolateRule(4)) {
             rules::linearize::apply(&mut ctx); //    rule 4
         }
-        if self.mask.ring && !crimes.contains(Crime::ViolateRule(5)) {
+        if !crimes.contains(Crime::ViolateRule(5)) {
             rules::ring::apply(&mut ctx); //         rule 5
         }
-        if self.mask.connection && !crimes.contains(Crime::ViolateRule(6)) {
+        if !crimes.contains(Crime::ViolateRule(6)) {
             rules::connection::apply(&mut ctx); //   rule 6
         }
     }
@@ -160,7 +152,7 @@ impl SyncProtocol for ReChordProtocol {
         view: &RoundView<'_, PeerState>,
         out: &mut Outbox<Msg>,
     ) {
-        let crimes = self.adversary.as_ref().map_or(CrimeSet::EMPTY, |a| a.crimes_of(me));
+        let crimes = self.adversary.crimes_of(me);
         if crimes.contains(Crime::LieAboutSuccessor) {
             // Run the rules into a scratch outbox, then rewrite every
             // outgoing introduction: whatever neighbor the rules meant to

@@ -160,8 +160,8 @@ impl<P: SyncProtocol> Engine<P> {
     }
 
     /// Mutable access to the protocol instance — for drivers that
-    /// reconfigure protocol-level knobs (rule masks, adversary policies)
-    /// between rounds. Changes apply from the next round.
+    /// reconfigure the protocol (Re-Chord's adversary policies) between
+    /// rounds. Changes apply from the next round.
     pub fn protocol_mut(&mut self) -> &mut P {
         self.forget();
         &mut self.protocol

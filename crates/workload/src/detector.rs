@@ -3,32 +3,24 @@
 //! Every crash becomes visible to every survivor exactly `detection_lag`
 //! ticks later (`WorkloadConfig::detection_lag`). Real failure detectors
 //! are not accurate — they sometimes suspect peers that are merely slow.
-//! [`FailureDetector`] models that imperfection deterministically:
+//! [`FailureDetector`] holds those false suspicions, and the adversary is
+//! their only source: a peer committing `Crime::StallHeartbeats` starves
+//! its clockwise neighbor's heartbeats, so every `detection_lag` ticks the
+//! detector suspects that live *victim* for `suspect_for` ticks. Requests
+//! bounce off suspected peers (entry points avoid them, hops landing on
+//! them retry) even though the peer is perfectly healthy — the
+//! availability tax of an over-eager detector.
 //!
-//! * **false suspicions**: on a configurable cadence the detector wrongly
-//!   suspects a live peer for `suspect_for` ticks; requests bounce off
-//!   suspected peers (entry points avoid them, hops landing on them
-//!   retry) even though the peer is perfectly healthy — the availability
-//!   tax of an over-eager detector. The adversary can weaponize this via
-//!   `Crime::StallHeartbeats`: a byzantine peer starves its clockwise
-//!   neighbor's heartbeats so the *victim* gets suspected every cadence.
-//!
-//! The simulator picks false-suspicion victims with the pure `mix` hash,
-//! so detector behavior never perturbs the simulation's RNG streams: the
-//! all-zero [`DetectorConfig`] is bit-identical to the legacy accurate
-//! detector.
+//! A zero `suspect_for` (the default [`DetectorConfig`]) makes every
+//! suspicion a no-op: the legacy accurate detector.
 
 use rechord_id::Ident;
 use std::collections::BTreeMap;
 
-/// Failure-detector knobs. All-zero (the default) reproduces the legacy
-/// behavior: no false suspicions.
+/// Failure-detector knobs. The default reproduces the legacy behavior: no
+/// false suspicions.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DetectorConfig {
-    /// Every this many ticks the detector falsely suspects one live peer
-    /// (`0` = the detector never errs on its own; heartbeat-stalling
-    /// attackers still fire on the `detection_lag` cadence).
-    pub false_suspect_every: u64,
     /// Ticks a suspicion lasts before it clears. `0` makes suspicions
     /// no-ops (the legacy accurate detector).
     pub suspect_for: u64,
@@ -111,7 +103,7 @@ mod tests {
 
     #[test]
     fn suspicions_raise_extend_and_clear() {
-        let cfg = DetectorConfig { suspect_for: 50, ..Default::default() };
+        let cfg = DetectorConfig { suspect_for: 50 };
         let mut d = FailureDetector::new(cfg);
         let v = Ident::from_raw(5);
         d.suspect(v, 100);

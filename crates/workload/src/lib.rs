@@ -38,10 +38,10 @@
 //!   rounds *and* the request lifecycle, and poisoned answers surface as
 //!   [`OutcomeKind::Corrupted`];
 //! * [`FailureDetector`] — false suspicions on top of the global
-//!   `detection_lag`: requests bounce off live-but-suspected peers, and the
-//!   suspect/clear timeline is reported per run. The all-zero
-//!   [`DetectorConfig`] reproduces the legacy accurate detector
-//!   bit-for-bit.
+//!   `detection_lag`, raised only by peers committing `StallHeartbeats`:
+//!   requests bounce off live-but-suspected peers, and the suspect/clear
+//!   timeline is reported per run. The default [`DetectorConfig`]
+//!   reproduces the legacy accurate detector bit-for-bit.
 //!
 //! The simulator is single-threaded: one control-event queue, one
 //! `(time, request id)` min-heap of request events, every draw a keyed hash.

@@ -129,8 +129,8 @@ pub struct WorkloadConfig {
     /// Byzantine crime injection ([`AdversaryConfig`]). The default is
     /// fully honest and reproduces legacy traces bit-for-bit.
     pub adversary: AdversaryConfig,
-    /// Failure-detector knobs ([`DetectorConfig`]). The default (all zero)
-    /// is the legacy never-erring detector.
+    /// Failure-detector knobs ([`DetectorConfig`]). The default
+    /// (`suspect_for: 0`) is the legacy never-erring detector.
     pub detector: DetectorConfig,
     /// Accepted and ignored: the simulator is single-threaded. The field
     /// survives only because `benchmark/` builds this struct literally.
@@ -181,8 +181,8 @@ pub struct SimReport {
     /// Acknowledged keys with no surviving copy anywhere (every replica
     /// crashed before a repair could run).
     pub lost_keys: usize,
-    /// Suspicions the failure detector raised (false positives plus
-    /// heartbeat-stalling attacks; 0 under the legacy accurate detector).
+    /// Suspicions the failure detector raised (heartbeat-stalling
+    /// attacks; 0 under the legacy accurate detector).
     pub suspicions: usize,
     /// Data-plane events processed (request hops plus queued service
     /// completions) — the throughput denominator the benches report.
@@ -204,9 +204,9 @@ enum SimEvent {
     /// routing view of ghosts — unless the peer rejoined in the meantime,
     /// in which case the detection is stale and must be ignored.
     DetectCrash(Ident),
-    /// The failure detector's suspicion cadence (false positives and
-    /// heartbeat-stalling attacks). Carries the tick ordinal.
-    DetectorTick(u64),
+    /// The failure detector's suspicion cadence: heartbeat-stalling
+    /// attackers frame their clockwise neighbors.
+    DetectorTick,
     /// One sybil identity joins via its sponsoring attacker.
     SybilJoin {
         /// The byzantine peer sponsoring the join.
@@ -323,8 +323,8 @@ impl TrafficSim {
         let mut placement = PlacementMap::from_peers(table.peers(), cfg.replication);
         placement.set_peer_capacity(cfg.max_keys_per_peer);
         // Freeze the crime map and install it into the protocol layer.
-        // An all-honest map is not installed at all — the protocol keeps
-        // its `adversary: None` fast path and legacy runs stay untouched.
+        // An all-honest map is not installed at all: installing goes
+        // through `Engine::protocol_mut`, which drops the step cache.
         let (adversary, sybils) = cfg.adversary.build(table.peers(), cfg.seed);
         let adversary = Arc::new(adversary);
         if !adversary.is_all_honest() {
@@ -334,11 +334,8 @@ impl TrafficSim {
             queue.push(cfg.adversary.sybil_at, SimEvent::SybilJoin { attacker, sybil });
         }
         let detector = FailureDetector::new(cfg.detector);
-        if cfg.detector.suspect_for > 0
-            && (cfg.detector.false_suspect_every > 0
-                || adversary.any_commits(Crime::StallHeartbeats))
-        {
-            queue.push(Self::detector_period(&cfg), SimEvent::DetectorTick(1));
+        if cfg.detector.suspect_for > 0 && adversary.any_commits(Crime::StallHeartbeats) {
+            queue.push(cfg.detection_lag.max(1), SimEvent::DetectorTick);
         }
         TrafficSim {
             space: IdSpace::new(cfg.seed),
@@ -364,17 +361,6 @@ impl TrafficSim {
             repair_running: false,
             adversary,
             detector,
-        }
-    }
-
-    /// Ticks between [`SimEvent::DetectorTick`]s: the configured false-
-    /// suspicion cadence, or the detection lag when only heartbeat
-    /// stalling drives the detector.
-    fn detector_period(cfg: &WorkloadConfig) -> u64 {
-        if cfg.detector.false_suspect_every > 0 {
-            cfg.detector.false_suspect_every
-        } else {
-            cfg.detection_lag.max(1)
         }
     }
 
@@ -413,7 +399,7 @@ impl TrafficSim {
                 SimEvent::Churn(e) => self.on_churn(e),
                 SimEvent::SetHotKey(h) => self.gen.set_hot_key(h),
                 SimEvent::DetectCrash(victim) => self.on_detect_crash(victim),
-                SimEvent::DetectorTick(k) => self.on_detector_tick(k),
+                SimEvent::DetectorTick => self.on_detector_tick(),
                 SimEvent::SybilJoin { attacker, sybil } => self.on_sybil_join(attacker, sybil),
                 SimEvent::RepairTick(epoch) => self.on_repair_tick(epoch),
             }
@@ -585,18 +571,13 @@ impl TrafficSim {
         self.table.refresh_from_network(&self.net);
     }
 
-    /// The suspicion cadence: the detector's own false positives plus
+    /// The suspicion cadence, every `detection_lag` ticks:
     /// heartbeat-stalling attackers framing their clockwise neighbors.
-    fn on_detector_tick(&mut self, k: u64) {
+    fn on_detector_tick(&mut self) {
         let now = self.queue.now();
         self.detector.prune(now);
         let peers = self.table.peers().to_vec();
         if !peers.is_empty() {
-            if self.cfg.detector.false_suspect_every > 0 {
-                let idx =
-                    (mix(&[self.adversary.seed(), 0xfa15_e000, k]) % peers.len() as u64) as usize;
-                self.detector.suspect(peers[idx], now);
-            }
             for attacker in self.adversary.byzantine_peers() {
                 if !self.adversary.commits(attacker, Crime::StallHeartbeats)
                     || self.table.knowledge_of(attacker).is_none()
@@ -612,9 +593,9 @@ impl TrafficSim {
                 }
             }
         }
-        let period = Self::detector_period(&self.cfg);
+        let period = self.cfg.detection_lag.max(1);
         if now + period <= self.cfg.traffic_end {
-            self.queue.push(now + period, SimEvent::DetectorTick(k + 1));
+            self.queue.push(now + period, SimEvent::DetectorTick);
         }
     }
 
@@ -759,8 +740,8 @@ impl TrafficSim {
         }
         if self.detector.is_suspected(f.peer, now) {
             // Live but suspected: the sender treats the silence as a crash
-            // and re-enters elsewhere — the availability tax a false
-            // suspicion (or a stalled heartbeat) levies on a healthy peer.
+            // and re-enters elsewhere — the availability tax a stalled
+            // heartbeat levies on a healthy peer.
             return self.retry(now, f);
         }
         let served_at = self.service.admit(f.peer, now);
@@ -1393,19 +1374,19 @@ mod tests {
 
     #[test]
     fn false_suspicions_bounce_requests_off_live_peers() {
-        let mut cfg = steady_cfg(29);
-        cfg.detector = DetectorConfig { false_suspect_every: 100, suspect_for: 300 };
+        let mut cfg = adversarial_cfg(29, 0.25, CrimeSet::single(Crime::StallHeartbeats));
+        cfg.detector = DetectorConfig { suspect_for: 300 };
         let mut sim = TrafficSim::new(cfg, stable_net(12, 29), &TimedChurnPlan::default());
         sim.preload();
         let report = sim.run();
-        assert!(report.suspicions > 0, "the cadence must raise suspicions");
+        assert!(report.suspicions > 0, "stalled heartbeats must raise suspicions");
         assert!(
             report.sink.outcomes().iter().any(|o| o.retries > 0),
             "bounces off suspected (live!) peers show up as retries"
         );
         assert!(
             report.summary.availability < 1.0,
-            "every peer is healthy, yet the over-eager detector costs real availability"
+            "every suspected peer is alive, yet the framed suspicions cost real availability"
         );
         assert!(report.summary.availability > 0.5, "{}", report.summary);
     }

@@ -178,7 +178,7 @@ fn adversarial_run_matches_its_golden() {
                 .with(Crime::StallHeartbeats),
             ..Default::default()
         },
-        detector: DetectorConfig { suspect_for: 300, ..Default::default() },
+        detector: DetectorConfig { suspect_for: 300 },
         ..Default::default()
     };
     let plan = TimedChurnPlan::storm(4, 0.5, 1_500, 400, 0xBAD_F00D);

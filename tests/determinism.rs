@@ -128,7 +128,7 @@ fn adversarial_runs_are_bit_identical() {
             seed: 0x99,
             traffic_end: 5_000,
             adversary: AdversaryConfig { fraction: 0.25, crimes, ..Default::default() },
-            detector: DetectorConfig { suspect_for: 300, ..Default::default() },
+            detector: DetectorConfig { suspect_for: 300 },
             ..Default::default()
         };
         let plan = TimedChurnPlan::storm(4, 0.5, 1_000, 300, 0x99);

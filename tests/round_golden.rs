@@ -22,7 +22,7 @@
 mod support;
 
 use rechord::chord::{ChordProtocol, ChordState};
-use rechord::core::ablation::RuleMask;
+use rechord::core::ablation;
 use rechord::core::adversary::mix;
 use rechord::core::network::ReChordNetwork;
 use rechord::core::{AdversaryMap, Crime, CrimeSet};
@@ -231,7 +231,8 @@ fn ablated_run_matches_its_golden() {
     // Without rule 2, edges park at the wrong sibling: a run under a
     // partial rule pipeline.
     let topo = TopologyKind::Random.generate(24, 5);
-    let mut net = ReChordNetwork::from_topology_with_mask(&topo, 1, RuleMask::without(2));
+    let mut net = ReChordNetwork::from_topology(&topo, 1);
+    ablation::ablate(&mut net, 2);
     let mut log = Log::default();
     log.until_fixpoint(net.engine_mut(), 400);
     let want = Golden {

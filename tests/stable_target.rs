@@ -24,7 +24,7 @@
 
 mod support;
 
-use rechord::core::ablation::RuleMask;
+use rechord::core::ablation;
 use rechord::core::adversary::mix;
 use rechord::core::metrics::NetworkMetrics;
 use rechord::core::network::{Overlay, ReChordNetwork};
@@ -306,7 +306,8 @@ fn ablated_runs_match_their_goldens() {
     let mut actual = Vec::new();
     for rule in 2..=6 {
         let topo = TopologyKind::Random.generate(24, 3);
-        let mut net = ReChordNetwork::from_topology_with_mask(&topo, 1, RuleMask::without(rule));
+        let mut net = ReChordNetwork::from_topology(&topo, 1);
+        ablation::ablate(&mut net, rule);
         let mut record = Record::default();
         let converged = record.run(&mut net, ABLATED_ROUNDS);
         actual.push((format!("without rule {rule}, converged={converged}"), record.golden(&net)));
