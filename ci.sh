@@ -34,6 +34,12 @@ if grep -rnE 'RuleMask|from_topology_with_mask|false_suspect_every' crates/*/src
   echo 'ci.sh: a source under crates/*/src or src/ names RuleMask, from_topology_with_mask or false_suspect_every; use ablation::ablate or Crime::StallHeartbeats instead' >&2
   exit 1
 fi
+#     Likewise one future-event list in the traffic simulator: every
+#     `TrafficSim` event sits on its keyed `EventQueue`.
+if grep -nE 'BinaryHeap|run_data_batch' crates/workload/src/sim.rs; then
+  echo 'ci.sh: crates/workload/src/sim.rs names BinaryHeap or run_data_batch; schedule on the keyed EventQueue instead' >&2
+  exit 1
+fi
 
 # 0b. Report only: the size of the library code, the count simplicity
 #     changes quote. Non-blank lines before the first `#[cfg(test)]` of

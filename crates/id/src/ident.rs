@@ -154,6 +154,23 @@ pub fn successor_index(sorted: &[Ident], point: Ident) -> Option<usize> {
     Some(if i == sorted.len() { 0 } else { i })
 }
 
+/// The cyclic window clockwise from `point`: every identifier of the
+/// ascending slice `sorted` once, starting at [`successor_index`] and
+/// wrapping past the largest to the smallest. A replica set of `r` copies
+/// is `successors(sorted, pos).take(r)`, clamped to the population.
+///
+/// ```
+/// use rechord_id::{successors, Ident};
+///
+/// let peers = [10, 20, 30].map(Ident::from_raw);
+/// let window: Vec<u64> = successors(&peers, Ident::from_raw(21)).map(Ident::raw).collect();
+/// assert_eq!(window, [30, 10, 20]);
+/// ```
+pub fn successors(sorted: &[Ident], point: Ident) -> impl Iterator<Item = Ident> + Clone + '_ {
+    let (before, from) = sorted.split_at(successor_index(sorted, point).unwrap_or(0));
+    from.iter().chain(before).copied()
+}
+
 /// The fixed-point length of `1/2^level`, for `level` in `1..=64`.
 #[inline]
 pub(crate) fn level_span(level: u8) -> u64 {

@@ -26,7 +26,7 @@ mod ident;
 
 pub use arc::RingArc;
 pub use hashing::{hash_address, IdSpace};
-pub use ident::{successor_index, Ident, MAX_LEVEL};
+pub use ident::{successor_index, successors, Ident, MAX_LEVEL};
 
 #[cfg(test)]
 mod proptests;

@@ -1,7 +1,7 @@
 //! Property-based tests for the identifier ring algebra.
 
 use crate::ident::level_span;
-use crate::{hash_address, successor_index, Ident, RingArc, MAX_LEVEL};
+use crate::{hash_address, successor_index, successors, Ident, RingArc, MAX_LEVEL};
 use proptest::prelude::*;
 
 fn idents() -> impl Strategy<Value = Ident> {
@@ -87,6 +87,19 @@ proptest! {
         };
         let scan = (0..sorted.len()).min_by_key(|&i| point.dist_cw(sorted[i]));
         prop_assert_eq!(successor_index(&sorted, point), scan);
+    }
+
+    /// The cyclic window lists every identifier once, nearest clockwise
+    /// first.
+    #[test]
+    fn successors_ascend_by_clockwise_distance(
+        set in prop::collection::btree_set(any::<u64>(), 0..24usize),
+        point in idents(),
+    ) {
+        let sorted: Vec<Ident> = set.into_iter().map(Ident::from_raw).collect();
+        let mut scan = sorted.clone();
+        scan.sort_by_key(|&p| point.dist_cw(p));
+        prop_assert_eq!(successors(&sorted, point).collect::<Vec<_>>(), scan);
     }
 
     /// Hashing is deterministic and seed-sensitive.

@@ -33,7 +33,7 @@ use rechord_core::oracle::{ChordEdge, ChordEdgeKind};
 use rechord_core::protocol::ReChordProtocol;
 use rechord_core::state::PeerState;
 use rechord_graph::NodeRef;
-use rechord_id::{successor_index, IdSpace, Ident};
+use rechord_id::{successor_index, successors, IdSpace, Ident};
 use rechord_routing::{walk, RoutingTable, Walk};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
@@ -377,12 +377,13 @@ impl<T: Transport> NodePeer<T> {
 
     /// The responsible peer answers: store access plus the probe-hop
     /// accounting of `KvStore::{get, put}`. The replica set is
-    /// `PlacementMap::replica_set` over the roster: the responsible peer
-    /// (this one) and the next `replication - 1` peers, clamped.
+    /// `PlacementMap::replica_set` over the roster, the [`successors`]
+    /// window at `pos`: the responsible peer (this one) and the next
+    /// `replication - 1` peers, clamped.
     fn serve(&mut self, mut fwd: ForwardedRpc, pos: Ident) -> Result<(), NetError> {
         self.served += 1;
-        let roster = self.sync.roster();
-        let replicas = self.cfg.replication.max(1).min(roster.len());
+        let replicas =
+            successors(self.sync.roster(), pos).take(self.cfg.replication.max(1)).count();
         match fwd.op {
             RpcOp::Lookup => {
                 let f = fwd;
@@ -393,10 +394,9 @@ impl<T: Transport> NodePeer<T> {
                 if newer {
                     self.store.insert(fwd.key, (fwd.version, fwd.value.clone()));
                 }
-                let start = successor_index(roster, pos).expect("the roster is non-empty");
-                for k in 1..replicas {
+                for peer in successors(self.sync.roster(), pos).take(replicas).skip(1) {
                     self.transport.send_corked(
-                        roster[(start + k) % roster.len()],
+                        peer,
                         NetMsg::ReplicaPut {
                             pos,
                             key: fwd.key,
@@ -480,6 +480,80 @@ impl<T: Transport> NodePeer<T> {
                 }
                 Err(NetError::Timeout) => {} // idle: loop and tick again
                 Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::ClusterConfig;
+    use crate::inmem::InMemFabric;
+    use rechord_core::network::ReChordNetwork;
+    use rechord_routing::KvStore;
+    use rechord_topology::TopologyKind;
+
+    /// The responsible peer copies a put to the rest of
+    /// `PlacementMap::replica_set` (read through `KvStore`) and charges a
+    /// miss the whole set, clamps included: a static cluster always hits
+    /// the primary, so nothing end to end would notice a drift.
+    #[test]
+    fn serve_replicates_to_the_placement_replica_set() {
+        let topology = TopologyKind::Random.generate(6, 7);
+        let net = ReChordNetwork::from_topology(&topology, 1);
+        let client = Ident::from_raw(u64::MAX);
+        for replication in [1, 3, 9] {
+            let cfg = ClusterConfig {
+                topology: topology.clone(),
+                space_seed: 7,
+                replication,
+                max_rounds: 1,
+            };
+            let oracle = KvStore::with_replication(
+                RoutingTable::from_network(&net),
+                IdSpace::new(7),
+                replication,
+            );
+            let fabric = InMemFabric::new();
+            let mut inboxes: Vec<_> = topology.ids.iter().map(|&p| fabric.endpoint(p)).collect();
+            let mut client_inbox = fabric.endpoint(client);
+            let me = topology.ids[0];
+            let mut node = NodePeer::new(fabric.endpoint(me), cfg.node_config(me));
+            for key in 0..16 {
+                let pos = IdSpace::new(7).key_position(key);
+                let set = oracle.replica_peers(pos);
+                let fwd = |op| ForwardedRpc {
+                    rpc: key,
+                    client,
+                    op,
+                    key,
+                    value: "v".into(),
+                    version: 1,
+                    cursor: pos,
+                    hops: 0,
+                    steps: 0,
+                };
+                node.store.clear();
+                node.serve(fwd(RpcOp::Get), pos).unwrap();
+                node.serve(fwd(RpcOp::Put), pos).unwrap();
+                node.transport.flush_all().unwrap();
+                let mut targets = Vec::new();
+                for inbox in &mut inboxes {
+                    while let Some((_, msg)) = inbox.try_recv().unwrap() {
+                        if let NetMsg::ReplicaPut { .. } = msg {
+                            targets.push(inbox.local());
+                        }
+                    }
+                }
+                targets.sort_by_key(|&p| pos.dist_cw(p));
+                assert_eq!(targets, set[1..], "replication {replication}, key {key}");
+                let mut replies = std::iter::from_fn(|| client_inbox.try_recv().unwrap());
+                let Some((_, NetMsg::Reply { hops, .. })) = replies.next() else {
+                    panic!("the miss is answered first");
+                };
+                assert_eq!(hops as usize, set.len(), "a miss probes the whole set");
+                assert!(matches!(replies.next(), Some((_, NetMsg::Reply { hops: 0, .. }))));
             }
         }
     }

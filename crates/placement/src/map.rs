@@ -1,7 +1,7 @@
 //! The [`PlacementMap`] itself: arc-sharded records, topology deltas, and
 //! the incremental repair pass.
 
-use rechord_id::{successor_index, Ident};
+use rechord_id::{successor_index, successors, Ident};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How a peer left the network — decides what happens to its copies.
@@ -235,13 +235,10 @@ impl<V> PlacementMap<V> {
     /// for a ring position, in probe order, clamped to the population.
     ///
     /// This is the **one** replica-set computation in the workspace; the
-    /// DHT (`KvStore`) and the workload simulator both delegate here.
+    /// DHT (`KvStore`) and the workload simulator both delegate here, and a
+    /// cluster's `NodePeer` walks the same [`successors`] window.
     pub fn replica_set(&self, pos: Ident) -> Vec<Ident> {
-        let Some(start) = successor_index(&self.peers, pos) else {
-            return Vec::new();
-        };
-        let n = self.peers.len();
-        (0..self.replication.min(n)).map(|k| self.peers[(start + k) % n]).collect()
+        successors(&self.peers, pos).take(self.replication).collect()
     }
 
     /// Does any peer hold a copy of `key` (hashed to `pos`)?
@@ -275,12 +272,10 @@ impl<V> PlacementMap<V> {
     /// chase them). Returns the replica count the write reached (0 with no
     /// peers — nothing is stored).
     pub fn put(&mut self, pos: Ident, key: u64, version: u64, value: V) -> usize {
-        let Some(start) = successor_index(&self.peers, pos) else {
+        let window = successors(&self.peers, pos).take(self.replication);
+        let Some(primary) = window.clone().next() else {
             return 0;
         };
-        let n = self.peers.len();
-        let r = self.replication.min(n);
-        let primary = self.peers[start];
         let sk = (pos, key);
         let shard = self.shards.get_mut(&primary).expect("primary shard exists");
         let rec = match shard.entry(sk) {
@@ -298,29 +293,22 @@ impl<V> PlacementMap<V> {
                 e.insert(Record { version, value, holders: Vec::new() })
             }
         };
-        for k in 0..r {
-            let peer = self.peers[(start + k) % n];
+        for peer in window {
             if let Err(i) = rec.holders.binary_search(&peer) {
                 rec.holders.insert(i, peer);
                 self.held.entry(peer).or_default().insert(sk);
             }
         }
-        r
+        self.replication.min(self.peers.len())
     }
 
     /// Probes `key`'s current replica set in order, as a get does: the hit
     /// index is the number of extra successor hops the read cost.
     pub fn lookup(&self, pos: Ident, key: u64) -> Probe<'_, V> {
-        let Some(start) = successor_index(&self.peers, pos) else {
-            return Probe { replicas: 0, hit: None };
-        };
-        let n = self.peers.len();
-        let r = self.replication.min(n);
-        let rec = self.shards.get(&self.peers[start]).and_then(|s| s.get(&(pos, key)));
-        let hit = rec.and_then(|rec| {
-            (0..r).find(|&k| rec.holds(self.peers[(start + k) % n])).map(|k| (k, rec))
-        });
-        Probe { replicas: r, hit }
+        let mut window = successors(&self.peers, pos).take(self.replication);
+        let rec = window.clone().next().and_then(|p| self.shards.get(&p)?.get(&(pos, key)));
+        let hit = rec.and_then(|rec| window.position(|p| rec.holds(p)).map(|k| (k, rec)));
+        Probe { replicas: self.replication.min(self.peers.len()), hit }
     }
 
     /// A peer joins: its arc is split off its successor's shard and the
@@ -491,12 +479,11 @@ impl<V> PlacementMap<V> {
         transfers: &mut BTreeMap<Ident, usize>,
     ) -> bool {
         use std::ops::Bound::{Excluded, Unbounded};
-        let Ok(start) = self.peers.binary_search(&primary) else {
+        if self.peers.binary_search(&primary).is_err() {
             return true; // primary vanished mid-plan: impossible (churn invalidates), skip
-        };
-        let n = self.peers.len();
-        let r = self.replication.min(n);
-        let mut target: Vec<Ident> = (0..r).map(|k| self.peers[(start + k) % n]).collect();
+        }
+        let mut target: Vec<Ident> =
+            successors(&self.peers, primary).take(self.replication).collect();
         target.sort_unstable();
         let cap = self.max_keys_per_peer;
         // Take the shard out so the holder index can be edited alongside.
@@ -584,10 +571,9 @@ impl<V> PlacementMap<V> {
         let n = self.peers.len();
         let mut stats = RepairStats { arcs_touched: n, ..Default::default() };
         let mut held: BTreeMap<Ident, BTreeSet<ShardKey>> = BTreeMap::new();
-        let r = self.replication.min(n);
-        for i in 0..n {
-            let primary = self.peers[i];
-            let mut target: Vec<Ident> = (0..r).map(|k| self.peers[(i + k) % n]).collect();
+        for &primary in &self.peers {
+            let mut target: Vec<Ident> =
+                successors(&self.peers, primary).take(self.replication).collect();
             target.sort_unstable();
             let shard = self.shards.get_mut(&primary).expect("shard per peer");
             for (sk, rec) in shard.iter_mut() {
@@ -622,8 +608,6 @@ impl<V> PlacementMap<V> {
         if self.peers.is_empty() {
             return 0;
         }
-        let n = self.peers.len();
-        let r = self.replication.min(n);
         let mut rows: Vec<(usize, ShardKey, u64, V)> = entries
             .into_iter()
             .map(|(pos, key, version, value)| {
@@ -636,7 +620,8 @@ impl<V> PlacementMap<V> {
         let mut rows = rows.into_iter().peekable();
         while let Some(&(start, ..)) = rows.peek() {
             let primary = self.peers[start];
-            let mut holders: Vec<Ident> = (0..r).map(|k| self.peers[(start + k) % n]).collect();
+            let mut holders: Vec<Ident> =
+                successors(&self.peers, primary).take(self.replication).collect();
             holders.sort_unstable();
             let mut group: Vec<(ShardKey, Record<V>)> = Vec::new();
             while let Some(&(s, ..)) = rows.peek() {

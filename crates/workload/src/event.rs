@@ -1,36 +1,38 @@
 //! The discrete-event heart: a binary-heap queue over virtual time with a
-//! seeded-in-stone tie-break (same-instant events pop in scheduling order),
-//! so every run of a workload is reproducible bit for bit.
+//! seeded-in-stone tie-break, so every run of a workload is reproducible bit
+//! for bit. Same-instant events pop by an optional order key, then in
+//! scheduling order.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// One queued event. Ordering is `(time, seq)` — `seq` is the global
-/// scheduling counter, so simultaneous events replay in the order they were
-/// scheduled, never in allocator or hash order.
-struct Scheduled<E> {
+/// One queued event. Ordering is `(time, key, seq)` — `seq` is the global
+/// scheduling counter, so simultaneous events with equal keys replay in the
+/// order they were scheduled, never in allocator or hash order.
+struct Scheduled<E, K> {
     time: u64,
+    key: K,
     seq: u64,
     event: E,
 }
 
-impl<E> PartialEq for Scheduled<E> {
+impl<E, K: Ord> PartialEq for Scheduled<E, K> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.cmp(other) == Ordering::Equal
     }
 }
-impl<E> Eq for Scheduled<E> {}
+impl<E, K: Ord> Eq for Scheduled<E, K> {}
 
-impl<E> PartialOrd for Scheduled<E> {
+impl<E, K: Ord> PartialOrd for Scheduled<E, K> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for Scheduled<E> {
+impl<E, K: Ord> Ord for Scheduled<E, K> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want the earliest event.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
+        (other.time, &other.key, other.seq).cmp(&(self.time, &self.key, self.seq))
     }
 }
 
@@ -38,36 +40,46 @@ impl<E> Ord for Scheduled<E> {
 ///
 /// Popping advances the clock monotonically; pushing into the past is
 /// clamped to `now` (an event scheduled "immediately" from a handler runs at
-/// the current instant, after every event already queued for it).
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
+/// the current instant, after every event already queued for it with the
+/// same key). `K` orders events of one instant before scheduling order
+/// does; the default `()` leaves pure scheduling order.
+pub struct EventQueue<E, K = ()> {
+    heap: BinaryHeap<Scheduled<E, K>>,
     seq: u64,
     now: u64,
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E, K: Ord> Default for EventQueue<E, K> {
     fn default() -> Self {
-        Self::new()
+        EventQueue { heap: BinaryHeap::new(), seq: 0, now: 0 }
     }
 }
 
 impl<E> EventQueue<E> {
     /// An empty queue at virtual time `0`.
     pub fn new() -> Self {
-        EventQueue { heap: BinaryHeap::new(), seq: 0, now: 0 }
+        Self::default()
     }
 
+    /// Schedules `event` at absolute virtual time `at` (clamped to `now`).
+    pub fn push(&mut self, at: u64, event: E) {
+        self.push_keyed(at, (), event);
+    }
+}
+
+impl<E, K: Ord> EventQueue<E, K> {
     /// The current virtual time (the instant of the last popped event).
     pub fn now(&self) -> u64 {
         self.now
     }
 
-    /// Schedules `event` at absolute virtual time `at` (clamped to `now`).
-    pub fn push(&mut self, at: u64, event: E) {
+    /// Schedules `event` at absolute virtual time `at` (clamped to `now`),
+    /// behind every same-instant event with a smaller `key`.
+    pub fn push_keyed(&mut self, at: u64, key: K, event: E) {
         let time = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Scheduled { time, seq, event });
+        self.heap.push(Scheduled { time, key, seq, event });
     }
 
     /// Pops the earliest event, advancing the clock to its instant.
@@ -75,14 +87,6 @@ impl<E> EventQueue<E> {
         let s = self.heap.pop()?;
         self.now = s.time;
         Some((s.time, s.event))
-    }
-
-    /// The instant of the earliest pending event without popping it —
-    /// `None` when the queue is empty. The simulator uses this to bound a
-    /// data-plane batch: request events run up to (not including) the next
-    /// control-event instant.
-    pub fn next_time(&self) -> Option<u64> {
-        self.heap.peek().map(|s| s.time)
     }
 
     /// Number of pending events.
@@ -134,15 +138,26 @@ mod tests {
     }
 
     #[test]
-    fn next_time_peeks_without_advancing() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.next_time(), None);
-        q.push(40, "b");
-        q.push(15, "a");
-        assert_eq!(q.next_time(), Some(15));
-        assert_eq!(q.now(), 0, "peeking does not advance the clock");
-        q.pop();
-        assert_eq!(q.next_time(), Some(40));
+    fn keyed_events_pop_by_time_then_key_then_schedule_order() {
+        let mut q: EventQueue<&str, u64> = EventQueue::default();
+        q.push_keyed(7, 0, "late");
+        q.push_keyed(5, 9, "c");
+        q.push_keyed(5, 2, "a");
+        q.push_keyed(5, 9, "d");
+        q.push_keyed(5, 2, "b");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(order, [(5, "a"), (5, "b"), (5, "c"), (5, "d"), (7, "late")]);
+    }
+
+    #[test]
+    fn unkeyed_queue_keeps_pure_schedule_order() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        q.push(4, 0);
+        q.push(2, 1);
+        q.push(4, 2);
+        q.push(2, 3);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(order, [(2, 1), (2, 3), (4, 0), (4, 2)]);
     }
 
     #[test]

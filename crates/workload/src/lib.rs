@@ -9,10 +9,10 @@
 //! one virtual clock:
 //!
 //! * [`EventQueue`] — binary-heap future-event list with deterministic
-//!   same-instant ordering;
+//!   same-instant ordering: an order key, then scheduling order;
 //! * [`TrafficGen`] — Poisson arrivals over Zipf key popularity, with a
 //!   hot-key override for flash crowds;
-//! * [`LatencyModel`] — fixed / uniform / exponential per-hop delays;
+//! * [`LatencyModel`] — uniform / exponential per-hop delays;
 //! * [`ServiceQueue`] — per-peer service capacity: a hop through a loaded
 //!   peer pays deterministic FIFO queueing delay;
 //! * request lifecycle — hop-by-hop greedy routing that re-reads the live
@@ -43,10 +43,10 @@
 //!   timeline is reported per run. The default [`DetectorConfig`]
 //!   reproduces the legacy accurate detector bit-for-bit.
 //!
-//! The simulator is single-threaded: one control-event queue, one
-//! `(time, request id)` min-heap of request events, every draw a keyed hash.
-//! Its traces are pinned by the literal goldens in
-//! `tests/data_plane_golden.rs`.
+//! The simulator is single-threaded: one [`EventQueue`] holds every event,
+//! control events first at each instant, then request events by request
+//! id, and every draw is a keyed hash. Its traces are pinned by the literal
+//! goldens in `tests/data_plane_golden.rs`.
 //!
 //! ```
 //! use rechord_core::network::ReChordNetwork;

@@ -8,25 +8,23 @@
 //! retried from another entry point, or be lost: exactly the client
 //! experience the convergence theorems are silent about.
 //!
-//! Two future-event lists share the clock:
+//! Every event lives on one [`EventQueue`], and [`TrafficSim::run`] pops
+//! and dispatches until it drains. Events of one instant fire in one
+//! canonical order, set by their same-instant key:
 //!
-//! * the **control plane** — rounds, churn, detector ticks, sybil joins,
-//!   repair slices — is rare and lives in the [`EventQueue`] (same-instant
-//!   events fire in scheduling order);
-//! * the **data plane** — request hops and service completions, the hot
-//!   99% — is one min-heap keyed by `(time, request id)`. Every request has
-//!   at most one event in flight and each handler emits at most one
-//!   follow-up, never in the past, so that key is a total order and popping
-//!   the minimum is the one canonical schedule. Every random draw on this
-//!   path is a pure function of `(seed, tag, request id, attempt)`, not a
-//!   position in an rng stream.
+//! * **control events** — rounds, churn, detector ticks, sybil joins,
+//!   repair slices — come first, in scheduling order;
+//! * **request events** — hops and service completions, the hot 99% — come
+//!   next, by request id. Every request has at most one event in flight, so
+//!   the id is a total order among them;
+//! * the next open-loop **arrival** comes last: its request id exceeds
+//!   every id in flight. The request itself is generated when the clock
+//!   gets there.
 //!
-//! [`TrafficSim::run`] alternates: drain every data event strictly before
-//! the next control instant — generating the open-loop arrivals that fall
-//! in between as the clock reaches them — then fire that control event.
 //! Outcomes are therefore recorded in `(completed_at, request id)` order.
-//! The literal goldens in `tests/data_plane_golden.rs` pin the resulting
-//! traces.
+//! Every random draw on the request path is a pure function of `(seed,
+//! tag, request id, attempt)`, not a position in an rng stream. The literal
+//! goldens in `tests/data_plane_golden.rs` pin the resulting traces.
 //!
 //! Storage follows Chord's successor-list replication: a put writes the
 //! responsible peer and its `replication - 1` cyclic successors; a get
@@ -64,8 +62,7 @@ use rechord_id::{successor_index, IdSpace, Ident};
 use rechord_placement::{Departure, PlacementMap};
 use rechord_routing::{walk, RoutingTable, Walk};
 use rechord_topology::{ChurnEvent, TimedChurnPlan};
-use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Domain tag for pure per-hop latency draws.
@@ -184,16 +181,24 @@ pub struct SimReport {
     /// Suspicions the failure detector raised (heartbeat-stalling
     /// attacks; 0 under the legacy accurate detector).
     pub suspicions: usize,
-    /// Data-plane events processed (request hops plus queued service
-    /// completions) — the throughput denominator the benches report.
+    /// Request events processed (hops plus queued service completions) —
+    /// the throughput denominator the benches report.
     pub events: u64,
     /// [`PlacementMap::digest`] of the final placement.
     pub placement_digest: u64,
 }
 
-/// Control-plane events: rare and globally coupled. The hot request
-/// lifecycle lives on the data plane as [`Wire`] events.
+/// Everything that happens on the simulator's clock. The request events
+/// (`Arrival`, `Hop`, `Serve`) are the hot path; the rest are control
+/// events: rare and globally coupled.
 enum SimEvent {
+    /// The next open-loop request enters the system.
+    Arrival,
+    /// A request arrives at `peer` after a network hop (it still has to be
+    /// admitted through the peer's service queue).
+    Hop(InFlight),
+    /// The receiving peer's server gets to the request (post-queueing).
+    Serve(InFlight),
     /// One protocol round.
     Round,
     /// A scheduled churn event strikes.
@@ -220,13 +225,16 @@ enum SimEvent {
     RepairTick(u64),
 }
 
-/// A data-plane event, scheduled in a [`Slot`] by `(time, request id)`.
-enum Wire {
-    /// A request arrives at `peer` after a network hop (it still has to be
-    /// admitted through the peer's service queue).
-    Hop(InFlight),
-    /// The receiving peer's server gets to the request (post-queueing).
-    Serve(InFlight),
+impl SimEvent {
+    /// The same-instant order key (see module docs): control events `0`,
+    /// request events `1 + request id`, the arrival last.
+    fn order_key(&self) -> u64 {
+        match self {
+            SimEvent::Arrival => u64::MAX,
+            SimEvent::Hop(f) | SimEvent::Serve(f) => 1 + f.req.id,
+            _ => 0,
+        }
+    }
 }
 
 struct InFlight {
@@ -237,32 +245,6 @@ struct InFlight {
     retries: u32,
 }
 
-/// One entry of the data plane's future-event heap. Comparison is on
-/// `(time, request id)` alone and reversed, so the max-heap
-/// [`BinaryHeap`] pops the earliest event, lowest request id first.
-struct Slot {
-    time: u64,
-    id: u64,
-    wire: Wire,
-}
-
-impl PartialEq for Slot {
-    fn eq(&self, other: &Self) -> bool {
-        (self.time, self.id) == (other.time, other.id)
-    }
-}
-impl Eq for Slot {}
-impl PartialOrd for Slot {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Slot {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.id).cmp(&(self.time, self.id))
-    }
-}
-
 /// The discrete-event traffic simulator (see module docs).
 pub struct TrafficSim {
     cfg: WorkloadConfig,
@@ -270,16 +252,11 @@ pub struct TrafficSim {
     table: RoutingTable,
     space: IdSpace,
     gen: TrafficGen,
-    /// Control-plane future-event list.
-    queue: EventQueue<SimEvent>,
-    /// Data-plane future-event list.
-    data: BinaryHeap<Slot>,
-    /// The next open-loop arrival instant; the request itself is generated
-    /// when the clock gets there.
-    next_arrival: Option<u64>,
-    /// Seed for all pure data-plane draws (latency, entry picks).
+    /// The one future-event list, keyed by [`SimEvent::order_key`].
+    queue: EventQueue<SimEvent, u64>,
+    /// Seed for all pure request-path draws (latency, entry picks).
     draw_seed: u64,
-    /// Data-plane events processed so far.
+    /// Request hops and service completions processed so far.
     events_done: u64,
     /// Who stores what: the shared placement engine (replica sets, handoff,
     /// crash loss, incremental repair). Versions are put request ids.
@@ -314,12 +291,6 @@ impl TrafficSim {
     pub fn new(cfg: WorkloadConfig, mut net: ReChordNetwork, churn: &TimedChurnPlan) -> Self {
         let mut table = RoutingTable::default();
         table.refresh_from_network(&net);
-        let mut queue = EventQueue::new();
-        for e in churn.events() {
-            queue.push(e.at, SimEvent::Churn(e.event));
-        }
-        let next_arrival = (cfg.traffic_start <= cfg.traffic_end).then_some(cfg.traffic_start);
-        queue.push(cfg.round_every.max(1), SimEvent::Round);
         let mut placement = PlacementMap::from_peers(table.peers(), cfg.replication);
         placement.set_peer_capacity(cfg.max_keys_per_peer);
         // Freeze the crime map and install it into the protocol layer.
@@ -330,27 +301,18 @@ impl TrafficSim {
         if !adversary.is_all_honest() {
             net.set_adversary(Arc::clone(&adversary));
         }
-        for &(attacker, sybil) in &sybils {
-            queue.push(cfg.adversary.sybil_at, SimEvent::SybilJoin { attacker, sybil });
-        }
-        let detector = FailureDetector::new(cfg.detector);
-        if cfg.detector.suspect_for > 0 && adversary.any_commits(Crime::StallHeartbeats) {
-            queue.push(cfg.detection_lag.max(1), SimEvent::DetectorTick);
-        }
-        TrafficSim {
+        let mut sim = TrafficSim {
             space: IdSpace::new(cfg.seed),
             gen: TrafficGen::new(cfg.traffic, cfg.seed),
             draw_seed: cfg.seed ^ 0x6c61_7465_6e63_7921,
             pending_churn: churn.len(),
             placement,
             service: ServiceQueue::new(cfg.service_time),
-            data: BinaryHeap::new(),
-            next_arrival,
             events_done: 0,
             cfg,
             net,
             table,
-            queue,
+            queue: EventQueue::default(),
             acked: BTreeSet::new(),
             sink: SloSink::new(),
             churn_applied: 0,
@@ -359,15 +321,34 @@ impl TrafficSim {
             was_stable: false,
             repair_epoch: 0,
             repair_running: false,
+            detector: FailureDetector::new(cfg.detector),
             adversary,
-            detector,
+        };
+        for e in churn.events() {
+            sim.schedule(e.at, SimEvent::Churn(e.event));
         }
+        sim.schedule(cfg.round_every.max(1), SimEvent::Round);
+        for &(attacker, sybil) in &sybils {
+            sim.schedule(cfg.adversary.sybil_at, SimEvent::SybilJoin { attacker, sybil });
+        }
+        if cfg.detector.suspect_for > 0 && sim.adversary.any_commits(Crime::StallHeartbeats) {
+            sim.schedule(cfg.detection_lag.max(1), SimEvent::DetectorTick);
+        }
+        if cfg.traffic_start <= cfg.traffic_end {
+            sim.schedule(cfg.traffic_start, SimEvent::Arrival);
+        }
+        sim
+    }
+
+    /// Puts `event` on the clock at `at`, in its same-instant order.
+    fn schedule(&mut self, at: u64, event: SimEvent) {
+        self.queue.push_keyed(at, event.order_key(), event);
     }
 
     /// Schedules a hot-key reconfiguration at virtual time `at` (call before
     /// [`TrafficSim::run`]).
     pub fn schedule_hot_key(&mut self, at: u64, hot: Option<(u64, f64)>) {
-        self.queue.push(at, SimEvent::SetHotKey(hot));
+        self.schedule(at, SimEvent::SetHotKey(hot));
     }
 
     /// Seeds every key of the universe (version 0) onto its current replica
@@ -382,19 +363,16 @@ impl TrafficSim {
         self.acked.extend(1..=universe);
     }
 
-    /// Runs the simulation to completion: the queues drain once traffic has
+    /// Runs the simulation to completion: the queue drains once traffic has
     /// ended, every request has resolved, all churn has struck, and the
     /// network has re-stabilized (or the round budget is exhausted).
-    ///
-    /// The loop alternates data-plane batches with single control events:
-    /// all data events strictly before the next control instant drain, then
-    /// the control event fires.
     pub fn run(mut self) -> SimReport {
-        loop {
-            let batch_end = self.queue.next_time().unwrap_or(u64::MAX);
-            self.run_data_batch(batch_end);
-            let Some((_, ev)) = self.queue.pop() else { break };
+        while let Some((now, ev)) = self.queue.pop() {
+            self.events_done += u64::from(matches!(ev, SimEvent::Hop(_) | SimEvent::Serve(_)));
             match ev {
+                SimEvent::Arrival => self.on_arrival(now),
+                SimEvent::Hop(f) => self.on_hop(now, f),
+                SimEvent::Serve(f) => self.advance(now, f),
                 SimEvent::Round => self.on_round(),
                 SimEvent::Churn(e) => self.on_churn(e),
                 SimEvent::SetHotKey(h) => self.gen.set_hot_key(h),
@@ -404,7 +382,6 @@ impl TrafficSim {
                 SimEvent::RepairTick(epoch) => self.on_repair_tick(epoch),
             }
         }
-        debug_assert!(self.data.is_empty(), "data plane drained at exit");
         let lost_keys = self
             .acked
             .iter()
@@ -423,62 +400,7 @@ impl TrafficSim {
         }
     }
 
-    // ---- the data plane ----------------------------------------------------
-
-    /// Drains the data plane up to (not including) `batch_end`: open-loop
-    /// arrivals and queued events interleave in `(time, request id)` order.
-    /// Requests are numbered in arrival order, so an arrival goes ahead of
-    /// the queue only when it is strictly earlier than everything in it.
-    fn run_data_batch(&mut self, batch_end: u64) {
-        debug_assert!(
-            self.data.is_empty() || self.table.peers() == self.placement.peers(),
-            "routing table and placement map must agree on membership between control events"
-        );
-        loop {
-            let queued = self.data.peek().map_or(u64::MAX, |s| s.time);
-            if let Some(at) = self.next_arrival.filter(|&at| at < queued.min(batch_end)) {
-                self.on_arrival(at);
-                continue;
-            }
-            if queued >= batch_end {
-                break;
-            }
-            let Some(Slot { time, wire, .. }) = self.data.pop() else { break };
-            match wire {
-                Wire::Hop(f) => self.on_hop(time, f),
-                Wire::Serve(f) => self.advance(time, f),
-            }
-            self.events_done += 1;
-        }
-    }
-
-    /// The generator's next request enters the system at a keyed-random
-    /// entry peer — or is lost at the door when there is none.
-    fn on_arrival(&mut self, at: u64) {
-        let req = self.gen.next_request(at);
-        let gap = self.gen.next_gap();
-        self.next_arrival = (at + gap <= self.cfg.traffic_end).then_some(at + gap);
-        match pick_entry(self.table.peers(), &self.detector, at, self.draw_seed, req.id, 0) {
-            Some(via) => {
-                // Entering the system is an arrival at the entry peer:
-                // it pays the same service-queue admission a hop does.
-                let f = InFlight { req, peer: via, cursor: via, hops: 0, retries: 0 };
-                self.data.push(Slot { time: at, id: req.id, wire: Wire::Hop(f) });
-            }
-            None => self.sink.record(RequestOutcome {
-                id: req.id,
-                op: req.op,
-                key: req.key,
-                issued_at: at,
-                completed_at: at,
-                hops: 0,
-                retries: 0,
-                kind: OutcomeKind::Lost,
-            }),
-        }
-    }
-
-    // ---- control-plane event handlers -------------------------------------
+    // ---- control event handlers -------------------------------------------
 
     fn on_round(&mut self) {
         self.round_scheduled = false;
@@ -515,14 +437,7 @@ impl TrafficSim {
         let selector = (k as u64).wrapping_mul(0x9e37) ^ self.cfg.seed;
         let applied = self.net.apply_event(&event, selector, self.cfg.seed.wrapping_add(k as u64));
         if let Some(peer) = applied {
-            if self.repair_running {
-                // Churn invalidates the repair plan mid-drain: orphan any
-                // in-flight ticks and let the next fixpoint re-begin from
-                // the surviving dirty set.
-                self.repair_running = false;
-                self.repair_epoch += 1;
-                self.sink.repair_preempted(self.queue.now());
-            }
+            self.preempt_repair();
             match event {
                 ChurnEvent::Join { .. } => {
                     // Only the joiner's state is new; everyone else is
@@ -548,10 +463,31 @@ impl TrafficSim {
                     self.service.forget(peer);
                     self.table.remove_peer(peer);
                     let at = self.queue.now() + self.cfg.detection_lag;
-                    self.queue.push(at, SimEvent::DetectCrash(peer));
+                    self.schedule(at, SimEvent::DetectCrash(peer));
                 }
             }
         }
+        self.membership_changed();
+    }
+
+    /// Membership is about to change: churn invalidates the repair plan
+    /// mid-drain, so orphan any in-flight ticks and let the next fixpoint
+    /// re-begin from the surviving dirty set.
+    fn preempt_repair(&mut self) {
+        if self.repair_running {
+            self.repair_running = false;
+            self.repair_epoch += 1;
+            self.sink.repair_preempted(self.queue.now());
+        }
+    }
+
+    /// Membership changed: the overlay is off its fixpoint, so make sure a
+    /// round is coming.
+    fn membership_changed(&mut self) {
+        debug_assert!(
+            self.table.peers() == self.placement.peers(),
+            "routing table and placement map must agree on membership between control events"
+        );
         self.was_stable = false;
         if !self.round_scheduled && self.rounds_run < self.cfg.max_rounds {
             self.schedule_round();
@@ -595,7 +531,7 @@ impl TrafficSim {
         }
         let period = self.cfg.detection_lag.max(1);
         if now + period <= self.cfg.traffic_end {
-            self.queue.push(now + period, SimEvent::DetectorTick);
+            self.schedule(now + period, SimEvent::DetectorTick);
         }
     }
 
@@ -605,19 +541,11 @@ impl TrafficSim {
         if !self.net.join_via(sybil, attacker) {
             return;
         }
-        if self.repair_running {
-            // Same as organic churn: the join splits an arc and
-            // invalidates the repair plan mid-drain.
-            self.repair_running = false;
-            self.repair_epoch += 1;
-            self.sink.repair_preempted(self.queue.now());
-        }
+        // Same as organic churn: the join splits an arc.
+        self.preempt_repair();
         self.table.refresh_peer(&self.net, sybil);
         self.placement.apply_join(sybil);
-        self.was_stable = false;
-        if !self.round_scheduled && self.rounds_run < self.cfg.max_rounds {
-            self.schedule_round();
-        }
+        self.membership_changed();
     }
 
     // ---- paced anti-entropy -----------------------------------------------
@@ -686,12 +614,12 @@ impl TrafficSim {
             self.repair_running = false;
             self.sink.repair_finished(now);
         } else {
-            self.queue.push(now + 1, SimEvent::RepairTick(self.repair_epoch));
+            self.schedule(now + 1, SimEvent::RepairTick(self.repair_epoch));
         }
     }
 
     fn schedule_round(&mut self) {
-        self.queue.push(self.queue.now() + self.cfg.round_every.max(1), SimEvent::Round);
+        self.schedule(self.queue.now() + self.cfg.round_every.max(1), SimEvent::Round);
         self.round_scheduled = true;
     }
 }
@@ -725,8 +653,37 @@ fn pick_entry(
     Some(peers[(h % peers.len() as u64) as usize])
 }
 
-/// The request lifecycle: the handlers of the two [`Wire`] events.
+/// The request lifecycle: the handlers of the `Arrival`, `Hop` and `Serve`
+/// events.
 impl TrafficSim {
+    /// The generator's next request enters the system at a keyed-random
+    /// entry peer — or is lost at the door when there is none.
+    fn on_arrival(&mut self, at: u64) {
+        let req = self.gen.next_request(at);
+        let next = at + self.gen.next_gap();
+        if next <= self.cfg.traffic_end {
+            self.schedule(next, SimEvent::Arrival);
+        }
+        match pick_entry(self.table.peers(), &self.detector, at, self.draw_seed, req.id, 0) {
+            Some(via) => {
+                // Entering the system is an arrival at the entry peer:
+                // it pays the same service-queue admission a hop does.
+                let f = InFlight { req, peer: via, cursor: via, hops: 0, retries: 0 };
+                self.schedule(at, SimEvent::Hop(f));
+            }
+            None => self.sink.record(RequestOutcome {
+                id: req.id,
+                op: req.op,
+                key: req.key,
+                issued_at: at,
+                completed_at: at,
+                hops: 0,
+                retries: 0,
+                kind: OutcomeKind::Lost,
+            }),
+        }
+    }
+
     /// A hop lands at its receiving peer: admit it through the peer's
     /// service queue. Hop events fire in `(time, request id)` order, so
     /// admission is FIFO in *arrival* order; a loaded peer parks the
@@ -746,7 +703,7 @@ impl TrafficSim {
         }
         let served_at = self.service.admit(f.peer, now);
         if served_at > now {
-            self.data.push(Slot { time: served_at, id: f.req.id, wire: Wire::Serve(f) });
+            self.schedule(served_at, SimEvent::Serve(f));
         } else {
             self.advance(now, f);
         }
@@ -791,7 +748,7 @@ impl TrafficSim {
         }
         f.peer = next;
         let time = now + self.hop_latency(&f);
-        self.data.push(Slot { time, id: f.req.id, wire: Wire::Hop(f) });
+        self.schedule(time, SimEvent::Hop(f));
     }
 
     /// One purely keyed latency draw. `(request id, hops)` never repeats —
@@ -829,7 +786,7 @@ impl TrafficSim {
                     return self.finish(now, f, OutcomeKind::Lost);
                 }
                 let time = now + self.cfg.retry_backoff + self.hop_latency(&f);
-                self.data.push(Slot { time, id: f.req.id, wire: Wire::Hop(f) });
+                self.schedule(time, SimEvent::Hop(f));
             }
             None => self.finish(now, f, OutcomeKind::Lost),
         }
@@ -925,18 +882,43 @@ mod tests {
     }
 
     #[test]
-    fn slots_order_min_first_by_time_then_id() {
-        let hop = |id| {
+    fn same_instant_events_run_control_then_requests_by_id_then_the_arrival() {
+        let mut cfg = steady_cfg(3);
+        cfg.traffic_start = cfg.traffic_end + 1; // no arrival of its own
+        let mut sim = TrafficSim::new(cfg, stable_net(4, 3), &TimedChurnPlan::default());
+        let inflight = |id| {
             let req = Request { id, op: Op::Get, key: 0, issued_at: 0 };
             let at = Ident::from_raw(0);
-            Wire::Hop(InFlight { req, peer: at, cursor: at, hops: 0, retries: 0 })
+            InFlight { req, peer: at, cursor: at, hops: 0, retries: 0 }
         };
-        let mut heap = BinaryHeap::new();
-        for (time, id) in [(9, 1), (3, 7), (3, 2)] {
-            heap.push(Slot { time, id, wire: hop(id) });
-        }
-        let order: Vec<_> = std::iter::from_fn(|| heap.pop()).map(|s| (s.time, s.id)).collect();
-        assert_eq!(order, [(3, 2), (3, 7), (9, 1)], "earliest first, lowest request id on ties");
+        sim.schedule(9, SimEvent::Hop(inflight(1)));
+        sim.schedule(3, SimEvent::Arrival);
+        sim.schedule(3, SimEvent::Hop(inflight(7)));
+        sim.schedule(3, SimEvent::SetHotKey(Some((5, 0.5))));
+        sim.schedule(3, SimEvent::Serve(inflight(2)));
+        sim.schedule(3, SimEvent::SetHotKey(None));
+        let order: Vec<_> = std::iter::from_fn(|| sim.queue.pop())
+            .take(6)
+            .map(|(at, ev)| match ev {
+                SimEvent::Arrival => (at, "arrival", 0),
+                SimEvent::Hop(f) => (at, "hop", f.req.id),
+                SimEvent::Serve(f) => (at, "serve", f.req.id),
+                SimEvent::SetHotKey(hot) => (at, "hot key", hot.map_or(0, |(key, _)| key)),
+                _ => (at, "other control", 0),
+            })
+            .collect();
+        assert_eq!(
+            order,
+            [
+                (3, "hot key", 5),
+                (3, "hot key", 0),
+                (3, "serve", 2),
+                (3, "hop", 7),
+                (3, "arrival", 0),
+                (9, "hop", 1),
+            ],
+            "control in scheduling order, then request ids ascending, then the arrival"
+        );
     }
 
     #[test]
@@ -1057,15 +1039,13 @@ mod tests {
         sim.service.forget(victim);
         sim.table.remove_peer(victim);
 
-        // A hop dispatched before the crash lands now: stage it on the
-        // data plane and drain one single-instant batch.
+        // A hop dispatched before the crash lands now.
         let req = Request { id: 900, op: Op::Get, key: 3, issued_at: 0 };
         let f = InFlight { req, peer: victim, cursor: victim, hops: 1, retries: 0 };
-        sim.next_arrival = None; // no organic traffic in this surgical batch
-        sim.data.push(Slot { time: 0, id: req.id, wire: Wire::Hop(f) });
-        sim.run_data_batch(1);
+        let queued = sim.queue.len();
+        sim.on_hop(0, f);
         assert_eq!(sim.service.backlog_of(victim, 1), 0, "guard must not resurrect the queue");
-        assert_eq!(sim.data.len(), 1, "the request went to the retry path");
+        assert_eq!(sim.queue.len(), queued + 1, "the request went to the retry path");
     }
 
     #[test]
@@ -1083,13 +1063,13 @@ mod tests {
         sim.table.remove_peer(gone);
         let req = Request { id: 901, op: Op::Get, key: 5, issued_at: 0 };
         let f = InFlight { req, peer: gone, cursor: gone, hops: 2, retries: 0 };
-        sim.next_arrival = None;
-        sim.data.push(Slot { time: 0, id: req.id, wire: Wire::Hop(f) });
-        sim.run_data_batch(1);
-        // The retry hop is the only event left on the data plane.
-        let Slot { time: at, id, wire } = sim.data.pop().expect("the retry hop is queued");
-        assert_eq!(id, 901);
-        let Wire::Hop(f) = wire else { panic!("expected a hop event") };
+        sim.on_hop(0, f);
+        // The retry hop is the only request event on the clock.
+        let (at, wire) = std::iter::from_fn(|| sim.queue.pop())
+            .find(|(_, ev)| matches!(ev, SimEvent::Hop(_) | SimEvent::Serve(_)))
+            .expect("the retry hop is queued");
+        let SimEvent::Hop(f) = wire else { panic!("expected a hop event") };
+        assert_eq!(f.req.id, 901);
         assert_eq!(f.retries, 1);
         assert_eq!(f.hops, 3, "re-entry counts as a hop");
         assert!(
