@@ -253,7 +253,12 @@ fn put_ref_set(out: &mut Vec<u8>, set: &RefSet) {
 
 fn read_ref_set(r: &mut Reader<'_>) -> Result<RefSet, WireError> {
     let n = r.len(NODEREF_LEN)?;
-    let refs = (0..n).map(|_| read_node_ref(r)).collect::<Result<Vec<_>, _>>()?;
+    // Exactly `n` slots, as a clone would hold: collecting through
+    // `Result` cannot size the vector and leaves up to twice that.
+    let mut refs = Vec::with_capacity(n);
+    for _ in 0..n {
+        refs.push(read_node_ref(r)?);
+    }
     if refs.windows(2).any(|w| w[0] >= w[1]) {
         return Err(WireError::UnorderedSet);
     }

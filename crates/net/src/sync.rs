@@ -242,19 +242,20 @@ impl<P: SyncProtocol> RoundSync<P> {
             return StepOutcome::Pending;
         }
 
-        // The snapshot, aligned with the sorted roster — exactly the
-        // engine's (ids, states) columns.
-        let view_states: Vec<P::State> =
-            self.roster.iter().map(|id| self.collecting[id].clone()).collect();
-
         // Fixpoint: the previous cycle's snapshot equals this one, so the
         // round just executed changed nothing, globally. Every node runs
-        // this same comparison on the same data.
-        if self.prev_view.as_ref() == Some(&view_states) {
+        // this same comparison on the same data. Every key is a roster
+        // member and every member arrived, so the map's order is the
+        // roster's.
+        if self.prev_view.as_ref().is_some_and(|prev| prev.iter().eq(self.collecting.values())) {
             self.converged = Some(self.executed);
             return StepOutcome::Converged { rounds: self.executed };
         }
 
+        // The snapshot, aligned with the sorted roster — exactly the
+        // engine's (ids, states) columns.
+        let view_states: Vec<P::State> =
+            std::mem::take(&mut self.collecting).into_values().collect();
         let view = RoundView::new(&self.roster, &view_states);
         let mut out = Outbox::new();
         self.protocol.step(self.me, &mut self.state, &view, &mut out);
@@ -275,7 +276,6 @@ impl<P: SyncProtocol> RoundSync<P> {
         }
 
         self.prev_view = Some(view_states);
-        self.collecting.clear();
         self.phase = Phase::Exchange;
 
         // Our own batch joins the exchange directly.

@@ -66,8 +66,9 @@ pub struct RoundOutcome {
 /// when its own state changed, when a peer it read changed as
 /// [`SyncProtocol::observably_equal`] sees it, or when the cache was
 /// dropped; otherwise its last step is reused. A reused peer whose inbox
-/// is also unchanged keeps its state without delivery or comparison, so a
-/// round at the fixpoint steps, delivers and compares nothing.
+/// is also unchanged (no sender's messages to it changed) keeps its state
+/// without delivery or comparison, so a round at the fixpoint steps,
+/// delivers and compares nothing.
 pub struct Engine<P: SyncProtocol> {
     protocol: P,
     ids: Vec<Ident>,
@@ -82,13 +83,15 @@ pub struct Engine<P: SyncProtocol> {
 
 /// Each peer's last step, column-wise and aligned with the id column.
 ///
-/// A peer whose state just changed steps next round anyway, so its
-/// post-step state, reads and outbox are dropped, and the targets of that
-/// outbox are marked as having a changed inbox instead.
+/// A peer whose state just changed steps (or is skipped) next round
+/// anyway, so its post-step state and reads are dropped. Its outbox stays:
+/// the next round replaces it and compares the two, target by target.
 struct Memo<S, M> {
     /// The post-step state; `None` forces a step.
     post: Vec<Option<S>>,
     /// The messages it sent to live peers, by `(target index, message)`.
+    /// A target's inbox is the union of its slices, so a target none of
+    /// whose slices changed keeps its inbox.
     outbox: Vec<Vec<(usize, M)>>,
     /// How many messages it sent to absent peers.
     dropped: Vec<usize>,
@@ -96,8 +99,6 @@ struct Memo<S, M> {
     reads: Vec<Vec<usize>>,
     /// Changed observably since its readers last stepped.
     seen: Vec<bool>,
-    /// Lost a sender's outbox since the last round.
-    inbox_changed: Vec<bool>,
 }
 
 impl<S, M> Memo<S, M> {
@@ -109,30 +110,25 @@ impl<S, M> Memo<S, M> {
             dropped: vec![0; n],
             reads: (0..n).map(|_| Vec::new()).collect(),
             seen: vec![false; n],
-            inbox_changed: vec![false; n],
-        }
-    }
-
-    /// Drops the rest of the step of peer `i`, whose state just changed
-    /// (its post-step state is already gone).
-    fn drop_step(&mut self, i: usize) {
-        self.reads[i] = Vec::new();
-        self.dropped[i] = 0;
-        for (t, _) in std::mem::take(&mut self.outbox[i]) {
-            self.inbox_changed[t] = true;
         }
     }
 }
 
-/// How one peer takes part in a round.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Part {
-    /// Reuses its cached step.
-    Reuse,
-    /// Runs `step`.
-    Step,
-    /// Sat out by the schedule: no step, no messages, no cached step.
-    Skip,
+/// Marks every target whose slice of messages differs between two outboxes
+/// of one sender, both sorted by `(target index, message)`.
+fn mark_changed_targets<M: PartialEq>(
+    mut old: &[(usize, M)],
+    mut new: &[(usize, M)],
+    marks: &mut [bool],
+) {
+    while let Some(t) = old.first().into_iter().chain(new.first()).map(|&(t, _)| t).min() {
+        let (was, rest_old) = old.split_at(old.iter().take_while(|&&(u, _)| u == t).count());
+        let (is, rest_new) = new.split_at(new.iter().take_while(|&&(u, _)| u == t).count());
+        if was != is {
+            marks[t] = true;
+        }
+        (old, new) = (rest_old, rest_new);
+    }
 }
 
 impl<P: SyncProtocol> Engine<P> {
@@ -277,46 +273,34 @@ impl<P: SyncProtocol> Engine<P> {
             self.memo = Memo::new(n);
         }
         let memo = &mut self.memo;
-        // Who reuses: an active peer with a cached step none of whose reads
-        // changed observably since.
+        // Step, then replace each outbox. An active peer with a cached step
+        // none of whose reads changed observably since reuses it; a peer
+        // the schedule skips sends nothing and keeps no cached step. A
+        // peer needs delivery if it did not reuse, or if its slice of a
+        // replaced outbox changed; a reusing peer with an unchanged inbox
+        // keeps its state: no delivery, no comparison.
         let any_seen = memo.seen.contains(&true);
-        let parts: Vec<Part> = (0..n)
-            .map(|i| {
-                if !active(self.ids[i]) {
-                    Part::Skip
-                } else if memo.post[i].is_none()
-                    || (any_seen && memo.reads[i].iter().any(|&j| memo.seen[j]))
-                {
-                    Part::Step
-                } else {
-                    Part::Reuse
-                }
-            })
-            .collect();
-        memo.seen.fill(false);
-
-        // Step, then replace each outbox; a target of a changed outbox
-        // (old or new) has a changed inbox.
         let mut stepped = 0;
-        let mut inbox_changed = std::mem::replace(&mut memo.inbox_changed, vec![false; n]);
+        let mut needs = vec![false; n];
         let mut scratch = Outbox::new();
         let reads = RefCell::new(Vec::new());
-        for (i, part) in parts.iter().enumerate() {
-            match part {
-                Part::Reuse => continue,
-                Part::Skip => memo.post[i] = None,
-                Part::Step => {
-                    stepped += 1;
-                    let mut post = self.states[i].clone();
-                    let view =
-                        RoundView { ids: &self.ids, states: &self.states, reads: Some(&reads) };
-                    self.protocol.step(self.ids[i], &mut post, &view, &mut scratch);
-                    let mut read = reads.borrow_mut();
-                    read.sort_unstable();
-                    read.dedup();
-                    memo.reads[i] = read.drain(..).collect();
-                    memo.post[i] = Some(post);
-                }
+        for i in 0..n {
+            if !active(self.ids[i]) {
+                memo.post[i] = None;
+            } else if memo.post[i].is_none()
+                || (any_seen && memo.reads[i].iter().any(|&j| memo.seen[j]))
+            {
+                stepped += 1;
+                let mut post = self.states[i].clone();
+                let view = RoundView { ids: &self.ids, states: &self.states, reads: Some(&reads) };
+                self.protocol.step(self.ids[i], &mut post, &view, &mut scratch);
+                let mut read = reads.borrow_mut();
+                read.sort_unstable();
+                read.dedup();
+                memo.reads[i] = read.drain(..).collect();
+                memo.post[i] = Some(post);
+            } else {
+                continue;
             }
             // Targets ascend after the sort, so one cursor walks the ids.
             scratch.msgs.sort_unstable();
@@ -333,20 +317,14 @@ impl<P: SyncProtocol> Engine<P> {
                     dropped += 1;
                 }
             }
-            if outbox != memo.outbox[i] {
-                let old = std::mem::replace(&mut memo.outbox[i], outbox);
-                for &(t, _) in old.iter().chain(&memo.outbox[i]) {
-                    inbox_changed[t] = true;
-                }
-            }
+            needs[i] = true;
+            mark_changed_targets(&memo.outbox[i], &outbox, &mut needs);
+            memo.outbox[i] = outbox;
             memo.dropped[i] = dropped;
         }
+        memo.seen.fill(false);
 
         let mut changed = Vec::new();
-        // A reusing peer with an unchanged inbox keeps its state: no
-        // delivery, no comparison.
-        let needs: Vec<bool> =
-            parts.iter().zip(&inbox_changed).map(|(&p, &c)| p != Part::Reuse || c).collect();
         if needs.contains(&true) {
             // The inboxes of those peers, bucketed by target (a counting
             // sort): a bucket sorted is its slice of the canonical
@@ -391,10 +369,13 @@ impl<P: SyncProtocol> Engine<P> {
                 self.fresh[t] = false;
                 if next != *start {
                     memo.seen[t] = !self.protocol.observably_equal(&next, start);
-                    // Freed here, not with the rest of the step below, so
-                    // the round never holds a post-step and a delivered
-                    // state for every peer at once.
+                    // The peer steps or is skipped next round, which
+                    // replaces its outbox and drop count: only its post-step
+                    // state and reads go. Freed here, so the round never
+                    // holds a post-step and a delivered state for every
+                    // peer at once.
                     memo.post[t] = None;
+                    memo.reads[t] = Vec::new();
                     self.states[t] = next;
                     changed.push(t);
                 }
@@ -406,9 +387,6 @@ impl<P: SyncProtocol> Engine<P> {
             dropped: memo.dropped.iter().sum(),
             stepped,
         };
-        for &t in &changed {
-            memo.drop_step(t);
-        }
         (outcome, changed.into_iter().map(|t| self.ids[t]).collect())
     }
 
@@ -619,6 +597,101 @@ mod tests {
         let report = e.run_until_fixpoint(10);
         assert!(report.converged);
         assert_eq!(report.rounds, 1);
+    }
+
+    /// Every node sends the values its state lists to their targets and
+    /// keeps the largest value it received; the protocol logs the receiver
+    /// of every delivered message.
+    #[derive(Default)]
+    struct Relay {
+        delivered_to: RefCell<Vec<Ident>>,
+    }
+
+    #[derive(Clone, Debug, PartialEq)]
+    struct Sends {
+        to: Vec<(Ident, u64)>,
+        got: u64,
+    }
+
+    impl SyncProtocol for Relay {
+        type State = Sends;
+        type Msg = u64;
+
+        fn step(
+            &self,
+            _me: Ident,
+            state: &mut Sends,
+            _view: &RoundView<'_, Sends>,
+            out: &mut Outbox<u64>,
+        ) {
+            for &(to, v) in &state.to {
+                out.send(to, v);
+            }
+        }
+
+        fn deliver(&self, me: Ident, state: &mut Sends, msg: &u64) {
+            self.delivered_to.borrow_mut().push(me);
+            state.got = state.got.max(*msg);
+        }
+    }
+
+    /// Peers `0..6`, each sending 1 to the next two; run to the fixpoint,
+    /// with the log cleared.
+    fn relay() -> Engine<Relay> {
+        let mut e = Engine::new(Relay::default());
+        for i in 0..6 {
+            let to = [1, 2].map(|d| (gossip_id((i + d) % 6), 1)).to_vec();
+            e.insert_node(gossip_id(i), Sends { to, got: 0 });
+        }
+        assert!(e.run_until_fixpoint(10).converged);
+        e.protocol().delivered_to.take();
+        e
+    }
+
+    /// The peers (by index) that were delivered a message since last asked.
+    fn receivers(e: &Engine<Relay>) -> Vec<u64> {
+        let mut got: Vec<u64> =
+            e.protocol().delivered_to.take().iter().map(|id| id.raw() / 1000).collect();
+        got.dedup();
+        got
+    }
+
+    /// Peer 0 raises the value it sends to peer 1, its first target: the
+    /// round delivers to peer 0 (it stepped) and peer 1 only, and peer 1
+    /// changes.
+    fn raise_zero_to_one(e: &mut Engine<Relay>) {
+        e.state_mut(gossip_id(0)).expect("peer 0 lives").to[0].1 = 5;
+        let (out, dirty) = e.round_dirty_with_schedule(|_| true);
+        assert_eq!(out.stepped, 1);
+        assert_eq!(receivers(e), [0, 1], "only the target whose messages changed re-delivers");
+        assert_eq!(dirty, [gossip_id(1)]);
+    }
+
+    #[test]
+    fn a_changed_message_re_delivers_only_its_target() {
+        let mut e = relay();
+        raise_zero_to_one(&mut e);
+    }
+
+    #[test]
+    fn a_changed_peer_with_the_same_outbox_re_delivers_only_itself() {
+        let mut e = relay();
+        raise_zero_to_one(&mut e);
+        // Peer 1 re-steps and sends what it sent before: its targets keep
+        // their inboxes.
+        let out = e.round();
+        assert_eq!((out.stepped, out.changed), (1, false));
+        assert_eq!(receivers(&e), [1], "peer 1's targets 2 and 3 keep their inboxes");
+    }
+
+    #[test]
+    fn a_changed_peer_skipped_next_round_re_delivers_all_its_old_targets() {
+        let mut e = relay();
+        raise_zero_to_one(&mut e);
+        // Skipped, peer 1 sends nothing: both of its targets lose a message.
+        let out = e.round_with_schedule(|id| id != gossip_id(1));
+        assert_eq!((out.stepped, out.delivered, out.changed), (0, 10, false));
+        assert_eq!(receivers(&e), [1, 2, 3]);
     }
 
     #[test]

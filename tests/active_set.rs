@@ -10,7 +10,8 @@
 //!
 //! Scenarios: cold `Random` starts, the benchmark's join/join/leave/crash
 //! sequence, a `state_mut` edit of a stable network, a successor-lying
-//! adversary installed mid-run, a coin-flip activation schedule, and
+//! adversary installed mid-run, a coin-flip activation schedule, a
+//! schedule that skips every peer the round after it changed, and
 //! classic Chord (which keeps the default `observably_equal`). The
 //! benchmark-sized runs are release-only.
 
@@ -255,6 +256,36 @@ fn a_coin_flip_schedule_matches_the_sweep() {
     }
     checked_fixpoint(net.engine_mut(), &mut round);
     checked_idle(net.engine_mut(), &mut round, 2);
+}
+
+#[test]
+fn peers_skipped_the_round_after_they_changed_match_the_sweep() {
+    // The second run starts on an odd round, so its skip rounds are the
+    // ones that check the dirty list.
+    for (first, seed) in [(0, 3), (1, 13)] {
+        let mut net = ReChordNetwork::from_topology(&TopologyKind::Random.generate(24, seed), 1);
+        let mut round = first;
+        let mut skipped = 0;
+        // A full round, then a round that skips exactly the peers it
+        // changed: each of them sends nothing where it sent its old outbox.
+        for _ in 0..30 {
+            let before: Vec<_> = net.engine().iter().map(|(_, st)| st.clone()).collect();
+            checked_round(net.engine_mut(), round, |_| true);
+            let changed: BTreeSet<Ident> = net
+                .engine()
+                .iter()
+                .zip(&before)
+                .filter(|((_, st), was)| st != was)
+                .map(|((id, _), _)| id)
+                .collect();
+            skipped += changed.len();
+            checked_round(net.engine_mut(), round + 1, |id| !changed.contains(&id));
+            round += 2;
+        }
+        assert!(skipped > 0, "seed {seed}: no peer changed, so none was skipped");
+        checked_fixpoint(net.engine_mut(), &mut round);
+        checked_idle(net.engine_mut(), &mut round, 2);
+    }
 }
 
 #[test]
